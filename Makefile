@@ -24,16 +24,11 @@ scenarios-quick:
 stats-smoke:
 	./scripts/stats_smoke.sh
 
-# Wire protocol benchmarks: lock-step vs pipelined at 1, 4 and 16
-# concurrent requests (see BENCH_wire.json for recorded results).
+# Wire protocol benchmarks: one pipelined connection and a pooled
+# client at 1, 4 and 16 concurrent requests (BENCH_wire.json records
+# earlier results, including the retired lock-step rows).
 bench-wire:
 	go test ./internal/sponge/wire -run '^$$' -bench BenchmarkWire -benchtime 1s -cpu=1,4,16
-
-# Macro perf harness: host-level cost of the three paper jobs, legacy
-# allocation machinery vs the pooled hot path; regenerates
-# BENCH_macro.json (tune with BENCH_SIZE / BENCH_WORKERS / BENCH_OUT).
-bench:
-	./scripts/bench.sh
 
 # Fault-injection experiment: spill placement, retries, and timing vs
 # exchange drop rate, simulated vs real-TCP wire transport; regenerates
@@ -67,4 +62,4 @@ bench-tracker:
 bench-combine:
 	go run ./cmd/benchtab -out BENCH_combine.json combine
 
-.PHONY: tier1 tier2 scenarios scenarios-quick stats-smoke bench-wire bench bench-faults bench-readahead bench-tier bench-tracker bench-combine
+.PHONY: tier1 tier2 scenarios scenarios-quick stats-smoke bench-wire bench-faults bench-readahead bench-tier bench-tracker bench-combine

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	benchtab [-size f] [-spills n] [tab1|tab2|fig1a|fig1b|fig4|fig5|fig6|grepvar|failtab|ablate|all]
-//	benchtab [-perfsize f] [-workers n] [-out file.json] perf
 //	benchtab [-out file.json] [-stats file.json] faults
 //	benchtab [-out file.json] [-stats file.json] readahead
 //	benchtab [-out BENCH_wire.json] tier
@@ -18,14 +17,9 @@
 // (spill outcomes, retries, fault injections, readahead hits) as JSON
 // alongside the BENCH report.
 //
-// The perf experiment is the host-level macro benchmark: it times the
-// three jobs under testing.B in both the seed-equivalent legacy
-// allocation mode and the pooled hot path, and emits the comparison as
-// JSON (checked in as BENCH_macro.json). It is not part of "all".
-//
 // The faults experiment sweeps transport drop rates over the simulated
 // and the real-TCP wire transports, recording spill placement, retries,
-// and timing (checked in as BENCH_faults.json). Also not part of "all".
+// and timing (checked in as BENCH_faults.json). It is not part of "all".
 //
 // The readahead experiment sweeps the readahead window depth against
 // injected per-exchange latency over both transports, measuring
@@ -68,37 +62,31 @@ import (
 func main() {
 	size := flag.Float64("size", 1.0, "dataset scale factor (1.0 = paper size)")
 	spills := flag.Int("spills", 10000, "microbenchmark spill count")
-	perfSize := flag.Float64("perfsize", 0.05, "dataset scale factor for the perf experiment")
-	perfWorkers := flag.Int("workers", 8, "cluster size for the perf experiment")
-	perfOut := flag.String("out", "", "write the perf experiment's JSON report to this file")
+	out := flag.String("out", "", "write the experiment's JSON report to this file (faults, readahead, tier, tracker, combine)")
 	statsOut := flag.String("stats", "", "write the experiment's metrics registry snapshot (JSON) to this file (faults, readahead)")
 	flag.Parse()
 	which := "all"
 	if flag.NArg() > 0 {
 		which = flag.Arg(0)
 	}
-	if which == "perf" {
-		perf(*perfSize, *perfWorkers, *perfOut)
-		return
-	}
 	if which == "faults" {
-		faults(*perfOut, *statsOut)
+		faults(*out, *statsOut)
 		return
 	}
 	if which == "readahead" {
-		readahead(*perfOut, *statsOut)
+		readahead(*out, *statsOut)
 		return
 	}
 	if which == "tier" {
-		tier(*perfOut)
+		tier(*out)
 		return
 	}
 	if which == "tracker" {
-		tracker(*perfOut)
+		tracker(*out)
 		return
 	}
 	if which == "combine" {
-		combine(*perfOut)
+		combine(*out)
 		return
 	}
 	run := func(name string, fn func()) {
@@ -122,21 +110,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
 		os.Exit(2)
-	}
-}
-
-func perf(size float64, workers int, out string) {
-	fmt.Printf("== Macro perf: host cost per job run (size %.2f, %d workers) ==\n", size, workers)
-	rep := bench.RunPerf(size, workers)
-	fmt.Println(bench.FormatTable(bench.PerfHeader, rep.Rows()))
-	if out != "" {
-		if err := os.WriteFile(out, rep.JSON(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", out)
-	} else {
-		os.Stdout.Write(rep.JSON())
 	}
 }
 

@@ -74,12 +74,6 @@ type MacroConfig struct {
 	SizeFactor float64
 	// Workers overrides the cluster size (default 29).
 	Workers int
-	// LegacyAlloc reproduces the seed's allocation behaviour — boxed
-	// simulator events, no process reuse, no chunk-buffer recycling — so
-	// the perf harness can measure before/after in one binary. Simulated
-	// results are identical either way; only host-level allocation
-	// changes.
-	LegacyAlloc bool
 	// ReadAheadDepth overrides the sponge service's readahead window
 	// depth; 0 keeps the service default. Depth 1 reproduces the seed
 	// prefetcher bit for bit (the equivalence tests pin this against
@@ -157,12 +151,10 @@ func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
 	}
 
 	sim := simtime.New()
-	sim.SetLegacyAlloc(mc.LegacyAlloc)
 	c := cluster.New(sim, cfg)
 	fs := dfs.New(c)
 	eng := mapreduce.NewEngine(c, fs)
 	scfg := sponge.DefaultConfig()
-	scfg.DisableBufferRecycling = mc.LegacyAlloc
 	scfg.ReadAheadDepth = mc.ReadAheadDepth
 	scfg.RemoteDisabled = mc.RemoteDisabled
 	scfg.Remote = dfs.NewSpillStore(fs)

@@ -6,67 +6,45 @@ import (
 	"spongefiles/internal/media"
 )
 
-// Small-and-fast harness configuration for tests.
-const (
-	perfTestSize    = 0.02
-	perfTestWorkers = 4
-)
+// macroAllocCeiling caps allocations per Median job run at the guard's
+// configuration below (4 GB nodes, sponge spilling, size 0.02, 4
+// workers). The pooled hot path — typed event heap, process reuse,
+// recycled chunk buffers, O(1) pool free list — measures about 1,006
+// allocs/op there; the boxed-event, fresh-buffer machinery it replaced
+// measured 19,946 (BENCH_macro.json records the full comparison). The
+// ceiling leaves ~30% headroom over the pooled figure and sits an order
+// of magnitude below the old implementation.
+const macroAllocCeiling = 1300
 
-// TestLegacyAllocModeIsSimulationIdentical pins the central claim of the
-// perf harness: the legacy-allocation mode changes only what the Go
-// runtime does underneath, never the simulated outcome. Every job must
-// produce bit-identical virtual results in both modes.
-func TestLegacyAllocModeIsSimulationIdentical(t *testing.T) {
-	for _, kind := range []JobKind{Median, Anchortext, SpamQuantiles} {
-		legacy := RunMacro(kind, perfConfig(perfTestSize, perfTestWorkers, true))
-		opt := RunMacro(kind, perfConfig(perfTestSize, perfTestWorkers, false))
-		if legacy.Runtime != opt.Runtime {
-			t.Errorf("%s: runtime differs between alloc modes: legacy=%v optimized=%v",
-				kind, legacy.Runtime, opt.Runtime)
-		}
-		if legacy.StragglerChunks != opt.StragglerChunks || legacy.StragglerInput != opt.StragglerInput {
-			t.Errorf("%s: straggler stats differ between alloc modes", kind)
-		}
-		if kind == Median && legacy.MedianValue != opt.MedianValue {
-			t.Errorf("median value differs: legacy=%v optimized=%v",
-				legacy.MedianValue, opt.MedianValue)
-		}
-	}
-}
-
-// TestMacroAllocRegressionGuard is the harness's acceptance gate: the
-// pooled hot path must allocate at least 30% fewer objects per Median
-// job run than the seed-equivalent legacy mode (the actual margin is far
-// larger; 30% is the floor that must never regress).
+// TestMacroAllocRegressionGuard is the macro hot path's allocation
+// gate: one Median job run must stay under macroAllocCeiling allocs/op.
 func TestMacroAllocRegressionGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed guard; skipped in -short mode")
 	}
-	legacy := measureMacro(Median, perfConfig(perfTestSize, perfTestWorkers, true))
-	opt := measureMacro(Median, perfConfig(perfTestSize, perfTestWorkers, false))
-	if cut := pctDrop(legacy.AllocsPerOp, opt.AllocsPerOp); cut < 30 {
-		t.Fatalf("median job allocs/op: legacy=%d optimized=%d (%.1f%% cut, want >= 30%%)",
-			legacy.AllocsPerOp, opt.AllocsPerOp, cut)
+	mc := MacroConfig{NodeMemory: 4 * media.GB, Sponge: true, SizeFactor: 0.02, Workers: 4}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			RunMacro(Median, mc)
+		}
+	})
+	got := r.AllocsPerOp()
+	if got > macroAllocCeiling {
+		t.Fatalf("median job allocs/op = %d, want <= %d", got, macroAllocCeiling)
 	}
+	t.Logf("median job allocs/op = %d (ceiling %d)", got, macroAllocCeiling)
 }
 
-// Benchmarks for `go test -bench Macro -benchmem`: one per job in the
-// optimized mode, plus the legacy Median for manual comparison.
-func benchMacro(b *testing.B, kind JobKind, legacy bool) {
+// Benchmarks for `go test -bench Macro -benchmem`: one per paper job.
+func benchMacro(b *testing.B, kind JobKind) {
 	b.ReportAllocs()
-	mc := MacroConfig{
-		NodeMemory:  4 * media.GB,
-		Sponge:      true,
-		SizeFactor:  0.05,
-		Workers:     8,
-		LegacyAlloc: legacy,
-	}
+	mc := MacroConfig{NodeMemory: 4 * media.GB, Sponge: true, SizeFactor: 0.05, Workers: 8}
 	for i := 0; i < b.N; i++ {
 		RunMacro(kind, mc)
 	}
 }
 
-func BenchmarkMacroMedian(b *testing.B)        { benchMacro(b, Median, false) }
-func BenchmarkMacroMedianLegacy(b *testing.B)  { benchMacro(b, Median, true) }
-func BenchmarkMacroAnchortext(b *testing.B)    { benchMacro(b, Anchortext, false) }
-func BenchmarkMacroSpamQuantiles(b *testing.B) { benchMacro(b, SpamQuantiles, false) }
+func BenchmarkMacroMedian(b *testing.B)        { benchMacro(b, Median) }
+func BenchmarkMacroAnchortext(b *testing.B)    { benchMacro(b, Anchortext) }
+func BenchmarkMacroSpamQuantiles(b *testing.B) { benchMacro(b, SpamQuantiles) }

@@ -1,9 +1,8 @@
 // Package scenario is the hive-style scenario matrix harness: named
 // suites of test cases driven against the real multi-process sponge
-// cluster (the same child-process servers `spongectl cluster` spawns),
-// with per-case fault schedules, workloads, and assertions evaluated
-// over scraped obs metrics, reported as a machine-readable suite
-// report for CI.
+// cluster, with per-case fault schedules, workloads, and assertions
+// evaluated over scraped obs metrics, reported as a machine-readable
+// suite report for CI.
 //
 // The package has three layers:
 //
@@ -11,8 +10,9 @@
 //     parse each child's listen banner (with a timeout so a wedged
 //     child cannot hang the parent), and tear the children down
 //     gracefully — SIGTERM, bounded wait, then SIGKILL — so unix
-//     sockets and spill files are reclaimed. Both `spongectl cluster`
-//     and `spongesim` share it.
+//     sockets and spill files are reclaimed. The runner
+//     (and so `spongesim`) and the benchmark's wire workloads share
+//     it.
 //   - Spec/Workload/FaultEvent (spec.go, workload.go): the declarative
 //     matrix of topology × fault schedule × workload.
 //   - Runner/Report (run.go, report.go, seed.go): execute cases,
@@ -63,10 +63,6 @@ type HarnessOptions struct {
 	StopGrace time.Duration
 	// Stderr, when non-nil, receives the children's stderr.
 	Stderr io.Writer
-	// Logf, when non-nil, receives one transcript line per spawned
-	// child ("node%d -> child pid %d on %s\n") — spongectl cluster
-	// passes fmt.Printf to keep its transcript unchanged.
-	Logf func(format string, args ...any)
 }
 
 // child is one spawned server process.
@@ -163,9 +159,6 @@ func (h *Harness) spawnChild(n int) error {
 		return fmt.Errorf("scenario: child %d: %w", n, err)
 	}
 	c.addr = addr
-	if h.opts.Logf != nil {
-		h.opts.Logf("node%d -> child pid %d on %s\n", n, cmd.Process.Pid, addr)
-	}
 	return nil
 }
 

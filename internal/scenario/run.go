@@ -167,8 +167,8 @@ func RunCase(cs Case, opts RunOptions) CaseReport {
 	}
 	spec := cs.Spec.withDefaults()
 
-	// The simulated half mirrors `spongectl cluster`: node 0 runs the
-	// tasks and the tracker; nodes 1..N are fronted by child processes.
+	// The simulated half: node 0 runs the tasks and the tracker; nodes
+	// 1..N are fronted by child processes.
 	// The tiny local pool forces spills remote, through the children.
 	cfg := cluster.PaperConfig()
 	cfg.Workers = spec.Nodes + 1

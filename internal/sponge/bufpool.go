@@ -16,10 +16,6 @@ type bufPool struct {
 	max  int // retained buffers beyond this are dropped to the GC
 	free [][]byte
 
-	// recycle=false reproduces the seed's allocation behaviour (a fresh
-	// buffer per Get, every Put dropped) for before/after benchmarking.
-	recycle bool
-
 	gets, puts, misses int64
 }
 
@@ -28,11 +24,11 @@ type bufPool struct {
 // comfortably covering every file's in-flight chunks.
 const bufPoolMax = 512
 
-func newBufPool(size int, recycle bool) *bufPool {
+func newBufPool(size int) *bufPool {
 	if size <= 0 {
 		panic("sponge: bad buffer size")
 	}
-	return &bufPool{size: size, max: bufPoolMax, recycle: recycle}
+	return &bufPool{size: size, max: bufPoolMax}
 }
 
 // Get returns a buffer of exactly the pool's size. Contents are
@@ -41,7 +37,7 @@ func newBufPool(size int, recycle bool) *bufPool {
 func (b *bufPool) Get() []byte {
 	b.mu.Lock()
 	b.gets++
-	if n := len(b.free); n > 0 && b.recycle {
+	if n := len(b.free); n > 0 {
 		buf := b.free[n-1]
 		b.free[n-1] = nil
 		b.free = b.free[:n-1]
@@ -61,7 +57,7 @@ func (b *bufPool) Put(buf []byte) {
 	}
 	b.mu.Lock()
 	b.puts++
-	if b.recycle && len(b.free) < b.max {
+	if len(b.free) < b.max {
 		b.free = append(b.free, buf[:b.size])
 	}
 	b.mu.Unlock()

@@ -88,11 +88,6 @@ type ServiceConfig struct {
 	AntiEntropyEvery int
 	// Remote is the distributed-filesystem last resort; may be nil.
 	Remote RemoteStore
-	// DisableBufferRecycling turns off the service's chunk-buffer pool,
-	// reproducing the seed's one-fresh-buffer-per-chunk allocation
-	// behaviour. Only the benchmark harness sets this, to measure the
-	// recycled hot path against its predecessor.
-	DisableBufferRecycling bool
 	// Metrics, when non-nil, is the registry the service instruments
 	// itself into; nil means a private registry (always on — recording
 	// costs no allocation, no virtual time, and no randomness, so
@@ -205,7 +200,7 @@ func Start(c *cluster.Cluster, cfg ServiceConfig) *Service {
 	}
 	s.transport = simTransport{s}
 	s.peers = make([]Peer, len(c.Nodes))
-	s.bufs = newBufPool(s.chunkReal, !cfg.DisableBufferRecycling)
+	s.bufs = newBufPool(s.chunkReal)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()

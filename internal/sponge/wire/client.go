@@ -16,26 +16,19 @@ import (
 )
 
 // Client talks to one remote sponge server. It is safe for concurrent
-// use. Against a v2 server the connection is pipelined: any number of
-// requests may be in flight at once, a demux goroutine routes responses
-// back to their callers by request ID, and chunk payloads ride vectored
-// writes with no coalescing copy. Against a v1 peer the client falls
-// back to the original lock-step exchange, serializing requests over
-// the connection.
+// use. The connection is pipelined: any number of requests may be in
+// flight at once, a demux goroutine routes responses back to their
+// callers by request ID, and chunk payloads ride vectored writes with
+// no coalescing copy.
 type Client struct {
 	conn      net.Conn
 	br        *bufio.Reader
 	fw        *frameWriter
 	chunkSize int
-	version   int
 	network   string // "tcp" or "unix"
 	addr      string // dial address (socket path for "unix")
 
-	// rtmu serializes v1 round trips end to end (lock-step semantics);
-	// unused in v2 mode, where fw alone orders frame writes.
-	rtmu sync.Mutex
-
-	// v2 pipelining state.
+	// Pipelining state.
 	nextID  atomic.Uint32
 	pmu     sync.Mutex
 	pending map[uint32]*wireCall
@@ -80,7 +73,7 @@ func (st *poolFDState) release() {
 	}
 }
 
-// wireCall is one in-flight v2 request awaiting its response. Calls are
+// wireCall is one in-flight request awaiting its response. Calls are
 // pooled: each sees exactly one send (from demux or fail) and one
 // receive (its caller), so the channel is reusable.
 type wireCall struct {
@@ -100,10 +93,11 @@ type wireReply struct {
 	err    error
 }
 
-// Dial connects to a sponge server over TCP, negotiates the protocol
-// version, and learns the server's chunk size. A client that cannot
-// learn the chunk size would mis-size its frame limit and reject valid
-// responses, so any failure here is returned rather than papered over.
+// Dial connects to a sponge server over TCP, opens the request stream
+// with a hello, and learns the server's chunk size from its reply. A
+// client that cannot learn the chunk size would mis-size its frame
+// limit and reject valid responses, so any failure here is returned
+// rather than papered over.
 func Dial(addr string) (*Client, error) { return dialNet("tcp", addr) }
 
 // DialLocal connects to a same-host sponge server over its unix-domain
@@ -122,83 +116,43 @@ func dialNet(network, addr string) (*Client, error) {
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 8<<10),
 		fw:      newFrameWriter(conn, 0),
-		version: ProtocolV1,
 		network: network,
 		addr:    addr,
+		pending: make(map[uint32]*wireCall),
+		done:    make(chan struct{}),
 	}
-	hello, err := c.hello()
-	if err != nil {
+	if err := c.hello(); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	if hello != nil {
-		// v2 peer: the hello reply carries the pool geometry; switch to
-		// pipelined framing.
-		c.version = ProtocolV2
-		c.chunkSize = int(binary.LittleEndian.Uint32(hello[10:14]))
-		c.pending = make(map[uint32]*wireCall)
-		c.done = make(chan struct{})
-		go c.demux()
-		return c, nil
-	}
-	// v1 peer: stay lock-step and learn the chunk size with a Stat.
-	_, _, size, err := c.Stat()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: dial %s: stat: %w", addr, err)
-	}
-	c.chunkSize = size
+	go c.demux()
 	return c, nil
 }
 
-// DialV1 connects in the legacy lock-step mode without offering v2,
-// regardless of what the server speaks: one request in flight at a
-// time, responses read in request order. It exists as a compatibility
-// escape hatch and as the baseline in benchmarks.
-func DialV1(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+// hello sends the connection's first frame, a version-2 OpHello, and
+// takes the chunk size from the reply. A peer that refuses it answers
+// StatusBadRequest, surfaced as ErrBadRequest.
+func (c *Client) hello() error {
+	if err := c.send(0, []byte{OpHello, ProtocolV2}, nil); err != nil {
+		return err
+	}
+	n, _, err := readFrameHeader(c.br, handshakeLimit)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c := &Client{
-		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 8<<10),
-		fw:      newFrameWriter(conn, 0),
-		version: ProtocolV1,
-		network: "tcp",
-		addr:    addr,
+	resp := make([]byte, n)
+	if _, err := io.ReadFull(c.br, resp); err != nil {
+		return err
 	}
-	_, _, size, err := c.Stat()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("wire: dial %s: stat: %w", addr, err)
+	if n >= 1 && resp[0] != StatusOK {
+		return fmt.Errorf("hello refused: %w", statusErr(resp[0]))
 	}
-	c.chunkSize = size
-	return c, nil
+	if n != helloRespLen || resp[1] < ProtocolV2 {
+		return fmt.Errorf("wire: malformed hello response (%d bytes)", n)
+	}
+	c.chunkSize = int(binary.LittleEndian.Uint32(resp[10:14]))
+	return nil
 }
-
-// hello performs the version exchange. It returns the hello response
-// body for a v2 peer, nil for a v1 peer (which answers any unknown op
-// with StatusBadRequest), or an error for anything else.
-func (c *Client) hello() ([]byte, error) {
-	if err := writeFrame(c.conn, []byte{OpHello, ProtocolV2}); err != nil {
-		return nil, err
-	}
-	resp, err := readFrame(c.br, handshakeLimit)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case len(resp) == helloRespLen && resp[0] == StatusOK && resp[1] >= ProtocolV2:
-		return resp, nil
-	case len(resp) >= 1 && resp[0] == StatusBadRequest:
-		return nil, nil
-	}
-	return nil, fmt.Errorf("wire: malformed hello response (%d bytes)", len(resp))
-}
-
-// Version reports the negotiated protocol version.
-func (c *Client) Version() int { return c.version }
 
 // ChunkSize reports the server's chunk size learned at dial time.
 func (c *Client) ChunkSize() int { return c.chunkSize }
@@ -207,14 +161,11 @@ func (c *Client) ChunkSize() int { return c.chunkSize }
 // "unix".
 func (c *Client) Network() string { return c.network }
 
-// Close closes the connection (and any passed spill-file descriptor)
-// and, in v2 mode, waits for the demux goroutine to fail any in-flight
-// requests and exit.
+// Close closes the connection (and any passed descriptors) and waits
+// for the demux goroutine to fail any in-flight requests and exit.
 func (c *Client) Close() error {
 	err := c.conn.Close()
-	if c.done != nil {
-		<-c.done
-	}
+	<-c.done
 	if f := c.spillF.Swap(nil); f != nil {
 		f.Close()
 	}
@@ -386,13 +337,13 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// demux routes v2 responses to their waiting callers by request ID.
+// demux routes responses to their waiting callers by request ID.
 // Responses whose caller supplied a destination buffer are decoded
 // straight off the socket into it; others get an exact-size allocation.
 func (c *Client) demux() {
 	defer close(c.done)
 	for {
-		n, id, err := readFrameV2Header(c.br, c.limit())
+		n, id, err := readFrameHeader(c.br, c.limit())
 		if err != nil {
 			c.fail(err)
 			return
@@ -451,7 +402,7 @@ func (c *Client) demux() {
 	}
 }
 
-// send writes one v2 request frame (header + op header + payload)
+// send writes one request frame (header + op header + payload)
 // through the batching writer: small frames coalesce with concurrent
 // senders' frames into one flush, chunk payloads go to the socket as a
 // vectored write without being copied.
@@ -467,14 +418,10 @@ func (c *Client) send(id uint32, head, payload []byte) error {
 	return err
 }
 
-// do performs one request/response exchange in whichever mode the
-// connection negotiated. head is the op byte plus fixed fields, payload
-// the bulk data (may be nil), into an optional destination for the
-// response payload.
+// do performs one pipelined request/response exchange. head is the op
+// byte plus fixed fields, payload the bulk data (may be nil), into an
+// optional destination for the response payload.
 func (c *Client) do(head, payload, into []byte) (wireReply, error) {
-	if c.version < ProtocolV2 {
-		return c.roundTrip(head, payload, into)
-	}
 	call := callPool.Get().(*wireCall)
 	call.into = into
 	id := c.nextID.Add(1)
@@ -499,46 +446,6 @@ func (c *Client) do(head, payload, into []byte) (wireReply, error) {
 	}
 	if err := statusErr(rep.status); err != nil {
 		return wireReply{}, err
-	}
-	return rep, nil
-}
-
-// roundTrip is the v1 lock-step exchange: the round-trip lock is held
-// until the response has been read, so one request is in flight at a
-// time.
-func (c *Client) roundTrip(head, payload, into []byte) (wireReply, error) {
-	c.rtmu.Lock()
-	defer c.rtmu.Unlock()
-	hp := hdrPool.Get().(*[]byte)
-	hdr := append((*hp)[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(head)+len(payload)))
-	hdr = append(hdr, head...)
-	err := c.fw.writeFrame(hdr, payload)
-	*hp = hdr[:0]
-	hdrPool.Put(hp)
-	if err != nil {
-		return wireReply{}, err
-	}
-	resp, err := readFrame(c.br, c.limit())
-	if err != nil {
-		return wireReply{}, err
-	}
-	if len(resp) == 0 {
-		return wireReply{}, fmt.Errorf("wire: empty response")
-	}
-	rep := wireReply{status: resp[0]}
-	if err := statusErr(rep.status); err != nil {
-		return wireReply{}, err
-	}
-	body := resp[1:]
-	if into != nil {
-		if len(body) > len(into) {
-			return wireReply{}, fmt.Errorf("wire: %w: response is %d bytes, buffer holds %d",
-				io.ErrShortBuffer, len(body), len(into))
-		}
-		rep.n = copy(into, body)
-	} else {
-		rep.body = body
 	}
 	return rep, nil
 }
@@ -592,8 +499,8 @@ var poolLocBufPool = sync.Pool{New: func() any { b := make([]byte, 24); return &
 var poolPreadTestHook func()
 
 // ReadInto fetches a chunk's contents directly into buf, avoiding any
-// intermediate allocation (in v2 mode the payload is decoded off the
-// socket straight into buf), and returns the byte count. If buf is too
+// intermediate allocation (the payload is decoded off the socket
+// straight into buf), and returns the byte count. If buf is too
 // small the call fails with an error wrapping io.ErrShortBuffer; the
 // connection remains usable.
 //

@@ -95,7 +95,7 @@ func TestPoolFDRefusedOverTCP(t *testing.T) {
 
 // A raw OpPoolFD frame against a NoZeroCopy server must answer
 // StatusBadRequest — counting the refusal — rather than poison the
-// stream.
+// stream: a second fd op on it is answered too.
 func TestPoolFDBadRequestKeepsStream(t *testing.T) {
 	dir := shortSockDir(t)
 	srv := startServerOptions(t, 1024, 2, Options{LocalSocketDir: dir, NoZeroCopy: true})
@@ -104,25 +104,20 @@ func TestPoolFDBadRequestKeepsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, []byte{OpPoolFD}); err != nil {
-		t.Fatal(err)
+	for id := uint32(1); id <= 2; id++ {
+		if err := writeRawFrame(conn, id, []byte{OpPoolFD}); err != nil {
+			t.Fatal(err)
+		}
+		gotID, resp, err := readRawFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotID != id || len(resp) != 1 || resp[0] != StatusBadRequest {
+			t.Fatalf("OpPoolFD #%d on NoZeroCopy server = (id %d, %v), want [StatusBadRequest]", id, gotID, resp)
+		}
 	}
-	resp, err := readFrame(conn, handshakeLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp) != 1 || resp[0] != StatusBadRequest {
-		t.Fatalf("OpPoolFD on NoZeroCopy server = %v, want [StatusBadRequest]", resp)
-	}
-	// The same connection still serves normal v1 requests.
-	if err := writeFrame(conn, []byte{OpStat}); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = readFrame(conn, handshakeLimit); err != nil || len(resp) != 13 || resp[0] != StatusOK {
-		t.Fatalf("stat after refused OpPoolFD = (%v, %v)", resp, err)
-	}
-	if got := tierSample(t, srv.Metrics(), `spongewire_fdpass_fail_total{listen="`+srv.Addr()+`"}`); got != 1 {
-		t.Errorf("fdpass failures = %d, want 1", got)
+	if got := tierSample(t, srv.Metrics(), `spongewire_fdpass_fail_total{listen="`+srv.Addr()+`"}`); got != 2 {
+		t.Errorf("fdpass failures = %d, want 2", got)
 	}
 }
 

@@ -14,25 +14,31 @@
 // automatically for peers that resolve to the caller's own host,
 // falling back to TCP when the socket is missing or stale.
 //
-// The protocol has two framings, negotiated per connection:
+// The protocol has one framing, used for every frame of every
+// connection:
 //
-//	v1 (lock-step):  frame := length(u32 LE, bytes after this field) body
-//	v2 (pipelined):  frame := length(u32 LE, bytes after requestID) requestID(u32 LE) body
+//	frame         := length(u32 LE, bytes after requestID) requestID(u32 LE) body
 //	request  body := op(u8) payload
 //	response body := status(u8) payload
 //
-// A client opens every connection with a v1-framed OpHello carrying the
-// highest protocol version it speaks. A v2 server answers StatusOK plus
-// its version and pool geometry and both sides switch to v2 framing; a
-// v1 server answers StatusBadRequest (its reply to any unknown op) and
-// the connection stays v1. Under v1 exactly one request is in flight at
-// a time. Under v2 the request ID multiplexes any number of concurrent
-// requests over one connection: the client demultiplexes responses back
-// to waiting callers by ID, and the server dispatches requests through a
-// bounded worker pool while serializing frame writes, so responses may
-// arrive in any order. Hot-path frames travel as vectored writes
-// (net.Buffers) — header and chunk payload are never coalesced into one
-// allocation — and both sides recycle chunk-sized buffers.
+// A connection's first frame picks its role:
+//
+//   - OpHello carrying version 2 or later: the server answers StatusOK plus its
+//     version and pool geometry, and the connection becomes a pipelined
+//     request stream. The request ID multiplexes any number of
+//     concurrent requests: the client demultiplexes responses back to
+//     waiting callers by ID, and the server dispatches requests through
+//     a bounded worker pool while serializing frame writes, so
+//     responses may arrive in any order.
+//   - OpSpillFD or OpPoolFD: the connection becomes a lock-step
+//     descriptor-exchange stream that accepts only those two ops. A
+//     refused op keeps the stream open, so a client can try both.
+//   - Anything else, a hello with another version included: the server
+//     answers StatusBadRequest and drops the connection.
+//
+// Hot-path frames travel as vectored writes (net.Buffers) — header and
+// chunk payload are never coalesced into one allocation — and both
+// sides recycle chunk-sized buffers.
 package wire
 
 import (
@@ -48,11 +54,9 @@ import (
 	"time"
 )
 
-// Protocol versions exchanged in the hello.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-)
+// ProtocolV2 is the protocol version a client offers in its hello; a
+// server refuses a hello carrying any earlier version.
+const ProtocolV2 = 2
 
 // Op codes.
 const (
@@ -74,10 +78,10 @@ const (
 	OpRegister
 	// OpUnregister marks a task dead. Payload: pid (u64).
 	OpUnregister
-	// OpHello negotiates the protocol version; always sent v1-framed as
-	// a connection's first request. Payload: version (u8). Response:
+	// OpHello opens a pipelined request stream; only valid as a
+	// connection's first request. Payload: version (u8). Response:
 	// version (u8), free chunks (u32), total chunks (u32), chunk size
-	// (u32) — the stat fields spare v2 dialers a second round trip.
+	// (u32) — the stat fields spare dialers a second round trip.
 	OpHello
 	// OpFreeList asks a TCP-served tracker for its latest free list.
 	// Response: entry count (u16), then per entry free chunks (u32),
@@ -99,8 +103,8 @@ const (
 	// answer StatusBadRequest.
 	OpSpillLoc
 	// OpSpillFD asks the server to pass its spill-file descriptor over
-	// SCM_RIGHTS. Only answered on a unix-socket connection, v1-framed,
-	// as the connection's sole exchange: the response frame is
+	// SCM_RIGHTS. Only answered on a unix-socket connection opened by an
+	// fd op (the descriptor-exchange stream): the response frame is
 	// [StatusOK, b] where the final byte b travels in a sendmsg carrying
 	// the descriptor as ancillary data (fd-passing needs a recvmsg
 	// boundary, which the dedicated lock-step connection guarantees).
@@ -119,8 +123,8 @@ const (
 	// OpPoolFD asks the server to pass its pool's memory-file
 	// descriptors over SCM_RIGHTS: the generation table first, then
 	// every segment in index order. Like OpSpillFD it is only answered
-	// on a unix-socket connection, v1-framed, lock-step: the response
-	// frame is [StatusOK, nfds] and the descriptors ride one sendmsg
+	// on a unix-socket descriptor-exchange stream: the response frame is
+	// [StatusOK, nfds] and the descriptors ride one sendmsg
 	// whose 12-byte data payload carries the pool geometry
 	// (segment-chunk capacity u32, chunk count u32, chunk size u32).
 	// TCP connections, heap-backed pools, non-linux builds, and pools
@@ -183,12 +187,16 @@ var (
 const frameSlack = 64
 
 // handshakeLimit bounds frames read before the peer's chunk size is
-// known (hello and fallback stat responses are a few bytes).
+// known (a hello response is a few bytes).
 const handshakeLimit = 1 << 20
 
-// helloRespLen is the v1-framed body of a successful hello response:
-// status, version, free (u32), total (u32), chunk size (u32).
+// helloRespLen is the body of a successful hello response: status,
+// version, free (u32), total (u32), chunk size (u32).
 const helloRespLen = 14
+
+// errFrameTooLarge marks a frame header announcing more bytes than the
+// reader's limit allows.
+var errFrameTooLarge = errors.New("wire: frame exceeds limit")
 
 // hdrPool recycles the small scratch buffers that carry frame headers
 // (and request op headers) into vectored writes.
@@ -342,29 +350,6 @@ func copyFileRange(dst io.Writer, f *os.File, off, n int64) error {
 	return nil
 }
 
-// writeFrameV1 sends one v1 length-prefixed frame through a
-// connection's batching writer.
-func writeFrameV1(w *frameWriter, body []byte) error {
-	hp := hdrPool.Get().(*[]byte)
-	hdr := append((*hp)[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	err := w.writeFrame(hdr, body)
-	*hp = hdr[:0]
-	hdrPool.Put(hp)
-	return err
-}
-
-// writeFrame sends one v1 length-prefixed frame.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
 // writeFrameVec sends one frame as a vectored write: hdr already holds
 // the frame header plus any op header; payload rides behind it without
 // being copied into a joint buffer. Runs under w.mu (the caller holds
@@ -390,29 +375,12 @@ func (w *frameWriter) writeFrameVec(hdr, payload []byte) error {
 	return err
 }
 
-// readFrame receives one v1 frame, enforcing the size limit.
-func readFrame(r io.Reader, limit int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if int(n) > limit {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, limit)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
-// readFrameV2Header reads a v2 frame header, returning the body length
+// readFrameHeader reads a frame header, returning the body length
 // and request ID. The caller reads the body (it may want to place it in
 // a pooled or caller-supplied buffer). Peek/Discard parse the header in
 // place inside the bufio buffer — a local [8]byte would escape through
 // the io.ReadFull interface call and cost an allocation per frame.
-func readFrameV2Header(r *bufio.Reader, limit int) (n int, id uint32, err error) {
+func readFrameHeader(r *bufio.Reader, limit int) (n int, id uint32, err error) {
 	hdr, err := r.Peek(8)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -424,14 +392,14 @@ func readFrameV2Header(r *bufio.Reader, limit int) (n int, id uint32, err error)
 	id = binary.LittleEndian.Uint32(hdr[4:8])
 	r.Discard(8)
 	if n > limit {
-		return 0, 0, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, limit)
+		return 0, 0, fmt.Errorf("%w: %d bytes, limit %d", errFrameTooLarge, n, limit)
 	}
 	return n, id, nil
 }
 
-// writeFrameV2 sends one v2 frame (length, request ID, body) through a
+// sendFrame sends one frame (length, request ID, body) through a
 // connection's batching writer.
-func writeFrameV2(w *frameWriter, id uint32, body []byte) error {
+func sendFrame(w *frameWriter, id uint32, body []byte) error {
 	hp := hdrPool.Get().(*[]byte)
 	hdr := append((*hp)[:0], 0, 0, 0, 0, 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -17,7 +18,7 @@ import (
 )
 
 // defaultInflight is the default per-connection worker-pool bound: how
-// many v2 requests one connection may have executing at once. The
+// many requests one connection may have executing at once. The
 // reader stops pulling frames when all workers are busy, so it doubles
 // as backpressure.
 const defaultInflight = 16
@@ -27,8 +28,8 @@ const defaultInflight = 16
 // behaviour: 16 in-flight requests per connection, no I/O deadlines, an
 // internal liveness registry, TCP only, and no disk-spill tier.
 type Options struct {
-	// Inflight bounds the per-connection worker pool in v2 framing;
-	// 0 means the default (16).
+	// Inflight bounds the per-connection worker pool; 0 means the
+	// default (16).
 	Inflight int
 	// ReadTimeout is the per-frame read deadline: a connection that
 	// sends no complete frame for this long is dropped. 0 disables it.
@@ -147,19 +148,20 @@ type fileRef struct {
 
 // daemon is the connection-serving core shared by the sponge server and
 // the TCP tracker: it accepts connections on every listener (TCP,
-// optionally a same-host unix socket), runs each in v1 lock-step
-// framing until an OpHello upgrades it to the pipelined v2 framing, and
-// feeds every request through the owner's dispatch function. Responses
-// may come from the recycled-buffer pool; dispatch results are handed
-// back to recycle after writing. A dispatch may alternatively return a
-// fileRef, in which case the payload is served zero-copy from the file.
+// optionally a same-host unix socket), lets each connection's first
+// frame pick its role (pipelined requests or descriptor exchange), and
+// feeds every pipelined request through the owner's dispatch function.
+// Responses may come from the recycled-buffer pool; dispatch results
+// are handed back to recycle after writing. A dispatch may
+// alternatively return a fileRef, in which case the payload is served
+// zero-copy from the file.
 type daemon struct {
 	lns       []net.Listener
 	localPath string // unix socket path, "" when TCP-only
 	opts      Options
 
-	// frameLimit bounds inbound frames; helloResp builds the v1-framed
-	// OpHello reply; dispatch executes one request body.
+	// frameLimit bounds inbound frames; helloResp builds the OpHello
+	// reply; dispatch executes one request body.
 	frameLimit int
 	helloResp  func() []byte
 	dispatch   func(req []byte) ([]byte, fileRef)
@@ -168,8 +170,8 @@ type daemon struct {
 	// sponge server when it has a spill tier; nil answers
 	// StatusBadRequest. sendPoolFD does the same for OpPoolFD with the
 	// pool's segment descriptors.
-	sendFD     func(conn net.Conn) error
-	sendPoolFD func(conn net.Conn) error
+	sendFD     func(conn net.Conn, id uint32) error
+	sendPoolFD func(conn net.Conn, id uint32) error
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -449,17 +451,11 @@ func (d *daemon) armRead(conn net.Conn) {
 // spill file, preferring sendfile and accounting the outcome. The
 // status byte is folded into the header write so the payload needs no
 // user-space staging at all.
-func (d *daemon) writeFile(fw *frameWriter, v2 bool, id uint32, fr fileRef) error {
+func (d *daemon) writeFile(fw *frameWriter, id uint32, fr fileRef) error {
 	hp := hdrPool.Get().(*[]byte)
-	hdr := (*hp)[:0]
-	if v2 {
-		hdr = append(hdr, 0, 0, 0, 0, 0, 0, 0, 0, StatusOK)
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+fr.n))
-		binary.LittleEndian.PutUint32(hdr[4:8], id)
-	} else {
-		hdr = append(hdr, 0, 0, 0, 0, StatusOK)
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+fr.n))
-	}
+	hdr := append((*hp)[:0], 0, 0, 0, 0, 0, 0, 0, 0, StatusOK)
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+fr.n))
+	binary.LittleEndian.PutUint32(hdr[4:8], id)
 	zc, err := fw.writeFrameFile(hdr, fr, d.opts.NoZeroCopy)
 	*hp = hdr[:0]
 	hdrPool.Put(hp)
@@ -471,93 +467,122 @@ func (d *daemon) writeFile(fw *frameWriter, v2 bool, id uint32, fr fileRef) erro
 	return err
 }
 
-// handle runs a connection in v1 lock-step framing until it either
-// drops or upgrades itself to v2 via OpHello. All writes flow through
-// one batching frame writer, shared with the v2 phase.
+// handle reads a connection's first frame, which picks the
+// connection's role: a version-2 hello opens the pipelined request
+// stream, an fd op opens the lock-step descriptor-exchange stream, and
+// anything else is refused and the connection dropped. All writes flow
+// through one batching frame writer.
 func (d *daemon) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	fw := newFrameWriter(conn, d.opts.WriteTimeout)
-	for {
-		d.armRead(conn)
-		req, err := readFrame(br, d.frameLimit)
-		if err != nil {
-			return // EOF or protocol violation: drop the connection
+	d.armRead(conn)
+	id, req, err := d.readRequest(br)
+	if err != nil {
+		// A peer that hangs up (or idles out) before its first frame is
+		// not misbehaving; a truncated or oversized frame is.
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errFrameTooLarge) {
+			d.badReqs.Inc()
 		}
-		d.countOp(req)
-		if len(req) == 1 && req[0] == OpMetrics {
-			if err := writeFrameV1(fw, d.metricsResponse()); err != nil {
-				return
-			}
-			continue
+		return
+	}
+	switch {
+	case len(req) == 2 && req[0] == OpHello && req[1] >= ProtocolV2:
+		d.recycle(req)
+		d.opReqs[OpHello].Inc()
+		if sendFrame(fw, id, d.helloResp()) == nil {
+			d.serveRequests(conn, br, fw)
 		}
-		if len(req) == 1 && (req[0] == OpSpillFD || req[0] == OpPoolFD) {
-			// Descriptor passing happens outside the frame writer: the
-			// exchange owns the connection (lock-step, nothing buffered)
-			// and the descriptors must ride their own sendmsg. Both fd
-			// ops share one dedicated connection: a client arms spill
-			// and pool passing back to back on the same lock-step
-			// stream.
-			send := d.sendFD
-			if req[0] == OpPoolFD {
-				send = d.sendPoolFD
-			}
-			if send != nil && !d.opts.NoZeroCopy {
-				switch err := send(conn); err {
-				case nil:
-					continue
-				case errZCUnsupported:
-					// TCP connection, heap-backed pool, or portable
-					// build: degrade to the plain refusal below, stream
-					// intact.
-				default:
-					d.fdFail.Inc()
-					return // a half-written handshake poisons the stream
-				}
-			}
-			d.fdFail.Inc()
-			if err := writeFrameV1(fw, []byte{StatusBadRequest}); err != nil {
-				return
-			}
-			continue
-		}
-		if len(req) == 2 && req[0] == OpHello {
-			if req[1] >= ProtocolV2 {
-				if err := writeFrameV1(fw, d.helloResp()); err != nil {
-					return
-				}
-				d.serveV2(conn, br, fw)
-				return
-			}
-			// A v1 hello keeps v1 framing; any other version we cannot
-			// serve is answered like an unknown op.
-			if err := writeFrameV1(fw, []byte{StatusBadRequest}); err != nil {
-				return
-			}
-			continue
-		}
-		resp, fr := d.dispatch(req)
-		if fr.f != nil {
-			if err := d.writeFile(fw, false, 0, fr); err != nil {
-				return
-			}
-			continue
-		}
-		err = writeFrameV1(fw, resp)
-		d.recycle(resp)
-		if err != nil {
-			return
-		}
+	case isFDOp(req):
+		op := req[0]
+		d.recycle(req)
+		d.serveFD(conn, br, fw, id, op)
+	default:
+		d.recycle(req)
+		d.badReqs.Inc()
+		sendFrame(fw, id, []byte{StatusBadRequest})
 	}
 }
 
-// v2req is one pipelined request handed from the connection reader to a
-// worker.
-type v2req struct {
+// isFDOp reports whether req is a descriptor-exchange request.
+func isFDOp(req []byte) bool {
+	return len(req) == 1 && (req[0] == OpSpillFD || req[0] == OpPoolFD)
+}
+
+// readRequest reads one whole frame into a recycled buffer, which the
+// caller hands back to recycle.
+func (d *daemon) readRequest(br *bufio.Reader) (uint32, []byte, error) {
+	n, id, err := readFrameHeader(br, d.frameLimit)
+	if err != nil {
+		return 0, nil, err
+	}
+	req := d.getBuf(n)
+	if _, err := io.ReadFull(br, req); err != nil {
+		d.recycle(req)
+		return 0, nil, err
+	}
+	return id, req, nil
+}
+
+// serveFD runs a descriptor-exchange stream, starting with its first
+// request (id, op). Descriptor passing happens outside the frame
+// writer: the exchange owns the connection (lock-step, nothing
+// buffered) and the descriptors must ride their own sendmsg. A refused
+// op is answered StatusBadRequest and the stream stays open — a client
+// arms spill and pool passing back to back on one stream — but any
+// other op ends it.
+func (d *daemon) serveFD(conn net.Conn, br *bufio.Reader, fw *frameWriter, id uint32, op byte) {
+	for {
+		d.opReqs[op].Inc()
+		send := d.sendFD
+		if op == OpPoolFD {
+			send = d.sendPoolFD
+		}
+		refused := true
+		if send != nil && !d.opts.NoZeroCopy {
+			switch err := send(conn, id); err {
+			case nil:
+				refused = false
+			case errZCUnsupported:
+				// TCP connection, heap-backed pool, or portable build:
+				// degrade to the plain refusal below, stream intact.
+			default:
+				d.fdFail.Inc()
+				return // a half-written handshake poisons the stream
+			}
+		}
+		if refused {
+			d.fdFail.Inc()
+			if sendFrame(fw, id, []byte{StatusBadRequest}) != nil {
+				return
+			}
+		}
+		d.armRead(conn)
+		next, req, err := d.readRequest(br)
+		if err != nil {
+			return
+		}
+		fd := isFDOp(req)
+		if fd {
+			op = req[0]
+		}
+		d.recycle(req)
+		if !fd {
+			d.badReqs.Inc()
+			sendFrame(fw, next, []byte{StatusBadRequest})
+			return
+		}
+		id = next
+	}
+}
+
+// pipeReq is one pipelined request handed from the connection reader
+// to a worker.
+type pipeReq struct {
 	id  uint32
 	req []byte
 }
 
-// serveV2 runs a connection in pipelined framing: the reader pulls
+// serveRequests runs a pipelined request stream: the reader pulls
 // frames and hands each to one of Options.Inflight long-lived workers;
 // workers dispatch and write their response — tagged with the request
 // ID — in completion order through the connection's batching writer,
@@ -566,12 +591,12 @@ type v2req struct {
 // over an unbuffered channel, so the steady state neither allocates nor
 // spawns: the reader blocks handing off when all workers are busy,
 // which is the same backpressure the old per-request semaphore gave.
-func (d *daemon) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
-	work := make(chan v2req)
+func (d *daemon) serveRequests(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
+	work := make(chan pipeReq)
 	var wg sync.WaitGroup
 	for i := 0; i < d.opts.inflight(); i++ {
 		wg.Add(1)
-		go d.v2worker(conn, fw, work, &wg)
+		go d.requestWorker(conn, fw, work, &wg)
 	}
 	defer func() {
 		close(work)
@@ -579,25 +604,21 @@ func (d *daemon) serveV2(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
 	}()
 	for {
 		d.armRead(conn)
-		n, id, err := readFrameV2Header(br, d.frameLimit)
+		id, req, err := d.readRequest(br)
 		if err != nil {
 			return
 		}
-		if n < 1 {
-			return
-		}
-		req := d.getBuf(n)
-		if _, err := io.ReadFull(br, req); err != nil {
+		if len(req) < 1 {
 			d.recycle(req)
 			return
 		}
 		d.countOp(req)
-		work <- v2req{id: id, req: req}
+		work <- pipeReq{id: id, req: req}
 	}
 }
 
-// v2worker serves one slot of a connection's pipelined worker pool.
-func (d *daemon) v2worker(conn net.Conn, fw *frameWriter, work chan v2req, wg *sync.WaitGroup) {
+// requestWorker serves one slot of a connection's pipelined worker pool.
+func (d *daemon) requestWorker(conn net.Conn, fw *frameWriter, work chan pipeReq, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for w := range work {
 		var resp []byte
@@ -610,9 +631,9 @@ func (d *daemon) v2worker(conn net.Conn, fw *frameWriter, work chan v2req, wg *s
 		d.recycle(w.req)
 		var err error
 		if fr.f != nil {
-			err = d.writeFile(fw, true, w.id, fr)
+			err = d.writeFile(fw, w.id, fr)
 		} else {
-			err = writeFrameV2(fw, w.id, resp)
+			err = sendFrame(fw, w.id, resp)
 			d.recycle(resp)
 		}
 		if err != nil {

@@ -104,11 +104,10 @@ func TestReadTimeoutDropsIdleConnection(t *testing.T) {
 	}
 }
 
-// TestTrackerServesFreeListOverBothFramings: the tracker's TCP face
-// answers OpFreeList identically over pipelined v2 and legacy v1
-// connections, and OpStat reports the aggregate free count, so v1-only
-// clients interoperate with the new op set.
-func TestTrackerServesFreeListOverBothFramings(t *testing.T) {
+// TestTrackerServesFreeList: the tracker's TCP face answers OpFreeList
+// with every server's free count, most free first, and OpStat with the
+// aggregate free count.
+func TestTrackerServesFreeList(t *testing.T) {
 	poolA := sponge.NewPool(512, 8)
 	poolB := sponge.NewPool(512, 8)
 	srvA, err := Serve(poolA, "127.0.0.1:0")
@@ -142,46 +141,31 @@ func TestTrackerServesFreeListOverBothFramings(t *testing.T) {
 	}
 	defer ts.Close()
 
-	check := func(name string, c *Client) {
-		t.Helper()
-		entries, err := c.FreeList()
-		if err != nil {
-			t.Fatalf("%s FreeList: %v", name, err)
-		}
-		if len(entries) != 2 {
-			t.Fatalf("%s FreeList returned %d entries, want 2", name, len(entries))
-		}
-		if entries[0].Addr != srvA.Addr() || entries[0].Free != 8 {
-			t.Fatalf("%s first entry = %+v, want %s with 8 free", name, entries[0], srvA.Addr())
-		}
-		if entries[1].Addr != srvB.Addr() || entries[1].Free != 5 {
-			t.Fatalf("%s second entry = %+v, want %s with 5 free", name, entries[1], srvB.Addr())
-		}
-		free, total, size, err := c.Stat()
-		if err != nil {
-			t.Fatalf("%s Stat: %v", name, err)
-		}
-		if free != 13 || total != 0 || size != 0 {
-			t.Fatalf("%s aggregate stat = (%d, %d, %d), want (13, 0, 0)", name, free, total, size)
-		}
-	}
-
-	v2, err := Dial(ts.Addr())
+	c, err := Dial(ts.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	if v2.Version() != ProtocolV2 {
-		t.Fatalf("tracker dial negotiated v%d, want v2", v2.Version())
-	}
-	check("v2", v2)
-
-	v1, err := DialV1(ts.Addr())
+	defer c.Close()
+	entries, err := c.FreeList()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("FreeList: %v", err)
 	}
-	defer v1.Close()
-	check("v1", v1)
+	if len(entries) != 2 {
+		t.Fatalf("FreeList returned %d entries, want 2", len(entries))
+	}
+	if entries[0].Addr != srvA.Addr() || entries[0].Free != 8 {
+		t.Fatalf("first entry = %+v, want %s with 8 free", entries[0], srvA.Addr())
+	}
+	if entries[1].Addr != srvB.Addr() || entries[1].Free != 5 {
+		t.Fatalf("second entry = %+v, want %s with 5 free", entries[1], srvB.Addr())
+	}
+	free, total, size, err := c.Stat()
+	if err != nil {
+		t.Fatalf("Stat: %v", err)
+	}
+	if free != 13 || total != 0 || size != 0 {
+		t.Fatalf("aggregate stat = (%d, %d, %d), want (13, 0, 0)", free, total, size)
+	}
 }
 
 // TestFreeListAgainstPoolServerDegrades: a sponge server (which doesn't

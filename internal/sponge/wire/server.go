@@ -16,10 +16,9 @@ import (
 // across machines) safe together, exactly as the paper's mmap-plus-
 // daemon design intends.
 //
-// Each connection starts in v1 lock-step framing; a client that sends
-// OpHello with version ≥ 2 is switched to the pipelined v2 framing,
-// where requests dispatch concurrently through a bounded worker pool
-// and responses (tagged with the request ID) are written back in
+// A connection opened with OpHello is a pipelined request stream:
+// requests dispatch concurrently through a bounded worker pool and
+// responses (tagged with the request ID) are written back in
 // completion order. The connection machinery itself lives in the
 // daemon type, shared with the TCP tracker.
 //
@@ -140,12 +139,12 @@ func (s *Server) TaskAlive(pid uint64) bool { return s.live.Alive(pid) }
 // descriptor over the unix connection's SCM_RIGHTS. Non-unix
 // connections (and non-linux builds, via the stub) degrade to
 // errZCUnsupported, which the daemon answers as StatusBadRequest.
-func (s *Server) sendSpillFD(conn net.Conn) error {
+func (s *Server) sendSpillFD(conn net.Conn, id uint32) error {
 	uc, ok := conn.(*net.UnixConn)
 	if !ok {
 		return errZCUnsupported
 	}
-	return sendFDOverUnix(uc, int(s.spill.file().Fd()))
+	return sendFDOverUnix(uc, id, int(s.spill.file().Fd()))
 }
 
 // sendPoolFD answers one OpPoolFD exchange: pass the pool's
@@ -153,7 +152,7 @@ func (s *Server) sendSpillFD(conn net.Conn) error {
 // SCM_RIGHTS. Non-unix connections, heap-backed pools, and non-linux
 // builds degrade to errZCUnsupported, which the daemon answers as
 // StatusBadRequest.
-func (s *Server) sendPoolFD(conn net.Conn) error {
+func (s *Server) sendPoolFD(conn net.Conn, id uint32) error {
 	uc, ok := conn.(*net.UnixConn)
 	if !ok {
 		return errZCUnsupported
@@ -170,11 +169,11 @@ func (s *Server) sendPoolFD(conn net.Conn) error {
 		chunks:    s.pool.Chunks(),
 		chunkSize: s.pool.ChunkSize(),
 	}
-	return sendPoolFDsOverUnix(uc, meta, segs, g)
+	return sendPoolFDsOverUnix(uc, id, meta, segs, g)
 }
 
-// helloResponse builds the v1-framed reply to OpHello: status, version,
-// and the stat triple so v2 dialers skip a round trip.
+// helloResponse builds the reply to OpHello: status, version, and the
+// stat triple so dialers skip a round trip.
 func (s *Server) helloResponse() []byte {
 	out := make([]byte, helloRespLen)
 	out[0] = StatusOK

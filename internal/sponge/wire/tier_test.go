@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -51,8 +52,8 @@ func TestSocketPath(t *testing.T) {
 	}
 }
 
-// The unix tier speaks the identical protocol: hello negotiation,
-// pipelined v2 exchanges, chunk round trips — just over the socket file.
+// The unix tier speaks the identical protocol: hello, pipelined
+// exchanges, chunk round trips — just over the socket file.
 func TestUnixTierRoundTrip(t *testing.T) {
 	dir := shortSockDir(t)
 	srv := startServerOptions(t, 4096, 4, Options{LocalSocketDir: dir})
@@ -66,9 +67,6 @@ func TestUnixTierRoundTrip(t *testing.T) {
 	defer c.Close()
 	if c.Network() != "unix" {
 		t.Fatalf("Network() = %q, want unix", c.Network())
-	}
-	if c.Version() != ProtocolV2 {
-		t.Fatalf("unix tier negotiated v%d, want v2", c.Version())
 	}
 	data := bytes.Repeat([]byte("local"), 300)
 	h, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: 9}, data)
@@ -420,7 +418,9 @@ func TestSpillFDRefusedOverTCP(t *testing.T) {
 }
 
 // A raw OpSpillFD frame against a spill-less (or NoZeroCopy) server
-// must answer StatusBadRequest rather than poison the stream.
+// must answer StatusBadRequest rather than poison the stream: the
+// descriptor-exchange stream takes further fd ops, and only a non-fd
+// op ends it.
 func TestSpillFDBadRequestKeepsStream(t *testing.T) {
 	dir := shortSockDir(t)
 	srv := startServerOptions(t, 1024, 2, Options{LocalSocketDir: dir}) // no SpillDir
@@ -429,22 +429,27 @@ func TestSpillFDBadRequestKeepsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, []byte{OpSpillFD}); err != nil {
+	for id := uint32(1); id <= 2; id++ {
+		if err := writeRawFrame(conn, id, []byte{OpSpillFD}); err != nil {
+			t.Fatal(err)
+		}
+		gotID, resp, err := readRawFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotID != id || len(resp) != 1 || resp[0] != StatusBadRequest {
+			t.Fatalf("OpSpillFD #%d on spill-less server = (id %d, %v), want [StatusBadRequest]", id, gotID, resp)
+		}
+	}
+	// A pipelined op on the fd stream is refused and ends it.
+	if err := writeRawFrame(conn, 3, []byte{OpStat}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(conn, handshakeLimit)
-	if err != nil {
-		t.Fatal(err)
+	if _, resp, err := readRawFrame(conn); err != nil || len(resp) != 1 || resp[0] != StatusBadRequest {
+		t.Fatalf("stat on the fd stream = (%v, %v), want [StatusBadRequest]", resp, err)
 	}
-	if len(resp) != 1 || resp[0] != StatusBadRequest {
-		t.Fatalf("OpSpillFD on spill-less server = %v, want [StatusBadRequest]", resp)
-	}
-	// The same connection still serves normal v1 requests.
-	if err := writeFrame(conn, []byte{OpStat}); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = readFrame(conn, handshakeLimit); err != nil || len(resp) != 13 || resp[0] != StatusOK {
-		t.Fatalf("stat after refused OpSpillFD = (%v, %v)", resp, err)
+	if _, _, err := readRawFrame(conn); err != io.EOF {
+		t.Fatalf("read after refused stat = %v, want EOF (stream closed)", err)
 	}
 }
 

@@ -536,8 +536,7 @@ func (ts *TrackerServer) dispatch(req []byte) ([]byte, fileRef) {
 }
 
 // FreeList queries a TCP-served tracker for its latest free list, most
-// free first. Works over both framings: a v1 connection sends the op
-// lock-step, a v2 connection pipelines it like any other request.
+// free first, pipelined like any other request.
 func (c *Client) FreeList() ([]TrackerEntry, error) {
 	rep, err := c.do([]byte{OpFreeList}, nil, nil)
 	if err != nil {

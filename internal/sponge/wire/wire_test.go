@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"spongefiles/internal/sponge"
 )
@@ -175,9 +176,6 @@ func TestFreeOfBadHandle(t *testing.T) {
 
 func TestDialNegotiatesV2(t *testing.T) {
 	_, c := startServer(t, 4096, 4)
-	if c.Version() != ProtocolV2 {
-		t.Fatalf("version = %d, want %d", c.Version(), ProtocolV2)
-	}
 	if c.ChunkSize() != 4096 {
 		t.Fatalf("chunk size = %d, want 4096", c.ChunkSize())
 	}
@@ -290,53 +288,14 @@ func TestDialPool(t *testing.T) {
 	}
 }
 
-// A lock-step v1 client against the v2 server: the server must keep the
-// connection in v1 framing and serve the full op set.
-func TestLockStepClientAgainstV2Server(t *testing.T) {
-	srv, _ := startServer(t, 4096, 4)
-	c, err := DialV1(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != ProtocolV1 {
-		t.Fatalf("version = %d, want %d", c.Version(), ProtocolV1)
-	}
-	data := bytes.Repeat([]byte("v1"), 50)
-	h, err := c.AllocWrite(sponge.TaskID{Node: 2, PID: 9}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Read(h)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("v1 read corrupt (%v)", err)
-	}
-	buf := make([]byte, 4096)
-	if n, err := c.ReadInto(h, buf); err != nil || !bytes.Equal(buf[:n], data) {
-		t.Fatalf("v1 ReadInto corrupt (%v)", err)
-	}
-	if err := c.Free(h); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register(9); err != nil {
-		t.Fatal(err)
-	}
-	if alive, _ := c.Ping(9); !alive {
-		t.Fatal("registered pid should be alive")
-	}
-}
-
-// fakeV1Server speaks the seed protocol: v1 framing only, and it
-// answers OpHello like any unknown op — StatusBadRequest — which is
-// exactly what a pre-v2 daemon does.
-func fakeV1Server(t *testing.T, pool *sponge.Pool) string {
-	t.Helper()
+// Dial against a peer that refuses the hello must fail promptly with
+// the refusal, even though the peer keeps the connection open.
+func TestDialFailsPromptlyWhenHelloRefused(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	legacy := &Server{pool: pool, live: newMapLiveness(), d: &daemon{}}
+	defer ln.Close()
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -345,58 +304,38 @@ func fakeV1Server(t *testing.T, pool *sponge.Pool) string {
 			}
 			go func() {
 				defer conn.Close()
-				limit := pool.ChunkSize() + frameSlack
-				for {
-					req, err := readFrame(conn, limit)
-					if err != nil {
-						return
-					}
-					var resp []byte
-					if len(req) >= 1 && req[0] == OpHello {
-						resp = []byte{StatusBadRequest}
-					} else {
-						resp, _ = legacy.dispatch(req)
-					}
-					if err := writeFrame(conn, resp); err != nil {
-						return
-					}
+				id, _, err := readRawFrame(conn)
+				if err != nil {
+					return
 				}
+				writeRawFrame(conn, id, []byte{StatusBadRequest})
+				io.Copy(io.Discard, conn) // hold the connection open
 			}()
 		}
 	}()
-	return ln.Addr().String()
-}
-
-// Dial against a v1-only server must fall back to lock-step mode and
-// still work end to end.
-func TestDialFallsBackToV1Server(t *testing.T) {
-	addr := fakeV1Server(t, sponge.NewPool(2048, 4))
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != ProtocolV1 {
-		t.Fatalf("version = %d, want fallback to %d", c.Version(), ProtocolV1)
-	}
-	if c.ChunkSize() != 2048 {
-		t.Fatalf("chunk size = %d, want 2048 (from stat)", c.ChunkSize())
-	}
-	data := []byte("fallback")
-	h, err := c.AllocWrite(sponge.TaskID{Node: 1, PID: 3}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.Read(h); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("fallback read corrupt (%v)", err)
+	done := make(chan error, 1)
+	go func() {
+		c, err := Dial(ln.Addr().String())
+		if err == nil {
+			c.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("Dial against a refusing peer = %v, want ErrBadRequest", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Dial against a refusing peer hung")
 	}
 }
 
 // The seed client swallowed a failed initial Stat and guessed a 1 MiB
 // chunk size; Dial must now propagate the failure.
 func TestDialPropagatesHandshakeError(t *testing.T) {
-	// Server that accepts and slams the connection: the hello (or, for a
-	// v1 peer, the stat) can never complete.
+	// Server that accepts and slams the connection: the hello can never
+	// complete.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -416,37 +355,33 @@ func TestDialPropagatesHandshakeError(t *testing.T) {
 	}
 }
 
-func TestDialPropagatesStatErrorOnV1Fallback(t *testing.T) {
-	// Server that rejects the hello (v1 behaviour) and then dies before
-	// answering the fallback Stat.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// writeRawFrame sends one frame on a raw connection.
+func writeRawFrame(w io.Writer, id uint32, body []byte) error {
+	frame := make([]byte, 8, 8+len(body))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:8], id)
+	_, err := w.Write(append(frame, body...))
+	return err
+}
+
+// readRawFrame receives one frame (up to handshakeLimit bytes) on a raw
+// connection.
+func readRawFrame(r io.Reader) (id uint32, body []byte, err error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
 	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				if _, err := readFrame(conn, handshakeLimit); err != nil {
-					return
-				}
-				writeFrame(conn, []byte{StatusBadRequest}) // reject hello
-				readFrame(conn, handshakeLimit)            // swallow the Stat, answer nothing
-			}()
-		}
-	}()
-	if _, err := Dial(ln.Addr().String()); err == nil {
-		t.Fatal("Dial must propagate the fallback Stat error")
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if n > handshakeLimit {
+		return 0, nil, fmt.Errorf("frame of %d bytes exceeds limit", n)
 	}
+	body = make([]byte, n)
+	_, err = io.ReadFull(r, body)
+	return binary.LittleEndian.Uint32(hdr[4:8]), body, err
 }
 
 // dialRawV2 opens a raw socket and completes the hello by hand so tests
-// can then speak malformed v2 frames.
+// can then speak malformed frames.
 func dialRawV2(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -454,10 +389,10 @@ func dialRawV2(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := writeFrame(conn, []byte{OpHello, ProtocolV2}); err != nil {
+	if err := writeRawFrame(conn, 0, []byte{OpHello, ProtocolV2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(conn, handshakeLimit); err != nil {
+	if _, _, err := readRawFrame(conn); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -477,28 +412,124 @@ func TestServerDropsOversizedV2Frame(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesTruncatedFrame feeds the server truncated and
+// hostile frames — a body cut short after the hello, and first frames
+// that must not open a request stream — and checks that each gets a
+// StatusBadRequest or a clean drop, is counted (bad request or fd-pass
+// failure), leaves no handler behind once the peer hangs up, and leaves
+// the server serving other clients and able to Close.
 func TestServerSurvivesTruncatedFrame(t *testing.T) {
-	srv, _ := startServer(t, 1024, 4)
-	conn := dialRawV2(t, srv.Addr())
-	// Promise 50 bytes, deliver 10, hang up.
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], 50)
-	binary.LittleEndian.PutUint32(hdr[4:8], 7)
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
+	frame := func(body ...byte) []byte {
+		var b bytes.Buffer
+		writeRawFrame(&b, 9, body)
+		return b.Bytes()
 	}
-	if _, err := conn.Write(make([]byte, 10)); err != nil {
-		t.Fatal(err)
+	oversized := make([]byte, 8)
+	binary.LittleEndian.PutUint32(oversized[0:4], 1<<30) // far past chunk+slack
+	const (
+		bad    = "spongewire_bad_requests_total"
+		fdFail = "spongewire_fdpass_fail_total"
+	)
+	cases := []struct {
+		name   string
+		opts   Options
+		unix   bool // dial the unix socket instead of TCP
+		hello  bool // complete the hello before sending
+		send   []byte
+		refuse bool   // expect a StatusBadRequest reply
+		closed bool   // expect the server to drop the connection
+		metric string // counter the frame must bump; "" = none
+	}{
+		// Promise 50 bytes, deliver 10, hang up.
+		{name: "truncated-body", hello: true,
+			send: frame(make([]byte, 50)...)[:18]},
+		{name: "op-before-hello", send: frame(OpStat), refuse: true, closed: true, metric: bad},
+		{name: "hello-v1", send: frame(OpHello, 1), refuse: true, closed: true, metric: bad},
+		{name: "oversized-first-frame", send: oversized, closed: true, metric: bad},
+		{name: "truncated-header", send: oversized[:3], metric: bad},
+		{name: "spill-fd-over-tcp", opts: Options{SpillDir: t.TempDir()},
+			send: frame(OpSpillFD), refuse: true, metric: fdFail},
+		{name: "pool-fd-over-tcp", send: frame(OpPoolFD), refuse: true, metric: fdFail},
+		{name: "spill-fd-no-zero-copy", opts: Options{SpillDir: t.TempDir(), NoZeroCopy: true},
+			unix: true, send: frame(OpSpillFD), refuse: true, metric: fdFail},
 	}
-	conn.Close()
-	// The server must shrug the connection off and keep serving others.
-	c2, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if _, _, _, err := c2.Stat(); err != nil {
-		t.Fatalf("server unhealthy after truncated frame: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			if tc.unix {
+				opts.LocalSocketDir = shortSockDir(t)
+			}
+			srv, err := ServeOptions(sponge.NewPool(1024, 4), "127.0.0.1:0", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			var conn net.Conn
+			switch {
+			case tc.hello:
+				conn = dialRawV2(t, srv.Addr())
+			case tc.unix:
+				conn, err = net.Dial("unix", srv.LocalSocket())
+			default:
+				conn, err = net.Dial("tcp", srv.Addr())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(tc.send); err != nil {
+				t.Fatal(err)
+			}
+			if tc.refuse {
+				if _, resp, err := readRawFrame(conn); err != nil || len(resp) != 1 || resp[0] != StatusBadRequest {
+					t.Fatalf("reply = (%v, %v), want [StatusBadRequest]", resp, err)
+				}
+			}
+			if tc.closed {
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+					t.Fatalf("read after the frame = %v, want EOF (connection dropped)", err)
+				}
+			}
+			conn.Close()
+
+			// The handler exits once the peer is gone: the connection was
+			// accepted and is no longer open.
+			listen := `{listen="` + srv.Addr() + `"}`
+			tier := `{listen="` + srv.Addr() + `",tier="tcp"}`
+			if tc.unix {
+				tier = `{listen="` + srv.Addr() + `",tier="unix"}`
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for tierSample(t, srv.Metrics(), "spongewire_connections_total"+tier) != 1 ||
+				tierSample(t, srv.Metrics(), "spongewire_open_connections"+listen) != 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("connection handler still running after the peer hung up")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if tc.metric != "" {
+				if got := tierSample(t, srv.Metrics(), tc.metric+listen); got != 1 {
+					t.Errorf("%s = %d, want 1", tc.metric, got)
+				}
+			}
+
+			// The server keeps serving others, and still closes.
+			c, err := Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := c.Stat(); err != nil {
+				t.Fatalf("server unhealthy after the frame: %v", err)
+			}
+			c.Close()
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close hung: a connection handler was left behind")
+			}
+		})
 	}
 }
 
@@ -519,14 +550,15 @@ func fakeV2Server(t *testing.T, chunkSize int, misbehave func(conn net.Conn)) st
 			}
 			go func() {
 				defer conn.Close()
-				if _, err := readFrame(conn, handshakeLimit); err != nil {
+				id, _, err := readRawFrame(conn)
+				if err != nil {
 					return
 				}
 				resp := make([]byte, helloRespLen)
 				resp[0] = StatusOK
 				resp[1] = ProtocolV2
 				binary.LittleEndian.PutUint32(resp[10:14], uint32(chunkSize))
-				if err := writeFrame(conn, resp); err != nil {
+				if err := writeRawFrame(conn, id, resp); err != nil {
 					return
 				}
 				misbehave(conn)

@@ -30,7 +30,7 @@ func (z *zeroCopier) sendFile(f *os.File, off, n int64) (int64, error) {
 // sendFDOverUnix and recvFDOverUnix need SCM_RIGHTS plumbing that this
 // build does not compile in; servers answer OpSpillFD with
 // StatusBadRequest and clients never attempt the handshake.
-func sendFDOverUnix(uc *net.UnixConn, fd int) error { return errZCUnsupported }
+func sendFDOverUnix(uc *net.UnixConn, id uint32, fd int) error { return errZCUnsupported }
 
 func recvFDOverUnix(uc *net.UnixConn) (*os.File, error) { return nil, errZCUnsupported }
 
@@ -45,7 +45,7 @@ type poolGeom struct {
 // sendPoolFDsOverUnix and recvPoolFDsOverUnix mirror the spill-fd
 // stubs: servers answer OpPoolFD with StatusBadRequest and clients
 // never attempt the handshake.
-func sendPoolFDsOverUnix(uc *net.UnixConn, meta *os.File, segs []*os.File, g poolGeom) error {
+func sendPoolFDsOverUnix(uc *net.UnixConn, id uint32, meta *os.File, segs []*os.File, g poolGeom) error {
 	return errZCUnsupported
 }
 

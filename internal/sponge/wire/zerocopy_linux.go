@@ -3,6 +3,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -109,13 +110,45 @@ func (z *zeroCopier) sendFile(f *os.File, off, n int64) (int64, error) {
 	return sent, err
 }
 
+// fdRespHeader builds the frame header plus status byte that opens a
+// successful fd-exchange response to request id: the frame body is two
+// bytes, and the second one rides the descriptor-carrying sendmsg.
+func fdRespHeader(id uint32) [9]byte {
+	hdr := [9]byte{2, 0, 0, 0, 0, 0, 0, 0, StatusOK}
+	binary.LittleEndian.PutUint32(hdr[4:8], id)
+	return hdr
+}
+
+// fdRequest is the whole frame of a descriptor-exchange request: a
+// one-byte body (the op) under request ID 0.
+func fdRequest(op byte) [9]byte { return [9]byte{1, 0, 0, 0, 0, 0, 0, 0, op} }
+
+// readFDRespHeader reads the frame header plus status byte of an
+// fd-exchange response. A refusal is a complete one-byte frame, so the
+// stream stays usable; success announces the two-byte body whose second
+// byte rides the descriptor-carrying sendmsg.
+func readFDRespHeader(uc *net.UnixConn, what string) error {
+	var hdr [9]byte
+	if _, err := io.ReadFull(uc, hdr[:]); err != nil {
+		return err
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if hdr[8] != StatusOK || n != 2 {
+		if err := statusErr(hdr[8]); err != nil && n == 1 {
+			return err
+		}
+		return fmt.Errorf("wire: malformed %s response", what)
+	}
+	return nil
+}
+
 // sendFDOverUnix answers one OpSpillFD exchange on a unix connection:
-// it writes the v1 response frame [StatusOK, b] where the final byte b
+// it writes the response frame [StatusOK, b] where the final byte b
 // rides a sendmsg carrying fd as SCM_RIGHTS ancillary data. The caller
 // guarantees the connection is lock-step with nothing buffered, so the
 // descriptor lands exactly on the receiver's recvmsg boundary.
-func sendFDOverUnix(uc *net.UnixConn, fd int) error {
-	hdr := [5]byte{2, 0, 0, 0, StatusOK} // frame length 2, then status
+func sendFDOverUnix(uc *net.UnixConn, id uint32, fd int) error {
+	hdr := fdRespHeader(id)
 	if _, err := uc.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -129,19 +162,12 @@ func sendFDOverUnix(uc *net.UnixConn, fd int) error {
 // a buffered read would consume the descriptor-carrying byte and the
 // kernel would drop the ancillary data).
 func recvFDOverUnix(uc *net.UnixConn) (*os.File, error) {
-	if err := writeFrame(uc, []byte{OpSpillFD}); err != nil {
+	req := fdRequest(OpSpillFD)
+	if _, err := uc.Write(req[:]); err != nil {
 		return nil, err
 	}
-	var hdr [5]byte // frame length + status
-	if _, err := io.ReadFull(uc, hdr[:]); err != nil {
+	if err := readFDRespHeader(uc, "spill-fd"); err != nil {
 		return nil, err
-	}
-	n := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
-	if hdr[4] != StatusOK || n != 2 {
-		if err := statusErr(hdr[4]); err != nil {
-			return nil, err
-		}
-		return nil, errors.New("wire: malformed spill-fd response")
 	}
 	buf := make([]byte, 1)
 	oob := make([]byte, syscall.CmsgSpace(4))
@@ -183,19 +209,19 @@ type poolGeom struct {
 }
 
 // sendPoolFDsOverUnix answers one OpPoolFD exchange on a unix
-// connection: the v1 response frame [StatusOK, nfds] goes out inline,
+// connection: the response frame [StatusOK, nfds] goes out inline,
 // then one sendmsg carries the 12-byte geometry payload with the
 // generation-table descriptor plus every segment descriptor as
 // SCM_RIGHTS ancillary data. The caller guarantees the connection is
 // lock-step with nothing buffered, so the descriptors land exactly on
 // the receiver's recvmsg boundary.
-func sendPoolFDsOverUnix(uc *net.UnixConn, meta *os.File, segs []*os.File, g poolGeom) error {
+func sendPoolFDsOverUnix(uc *net.UnixConn, id uint32, meta *os.File, segs []*os.File, g poolGeom) error {
 	nf := 1 + len(segs)
 	if nf > scmMaxFD {
 		return errZCUnsupported
 	}
-	hdr := [6]byte{2, 0, 0, 0, StatusOK, byte(nf)} // frame length 2, then body
-	if _, err := uc.Write(hdr[:]); err != nil {
+	hdr := fdRespHeader(id)
+	if _, err := uc.Write(append(hdr[:], byte(nf))); err != nil {
 		return err
 	}
 	fds := make([]int, 0, nf)
@@ -228,19 +254,12 @@ func getU32(b []byte) int {
 // owned by the caller: the generation table first, then the segments in
 // index order.
 func recvPoolFDsOverUnix(uc *net.UnixConn) (meta *os.File, segs []*os.File, g poolGeom, err error) {
-	if err := writeFrame(uc, []byte{OpPoolFD}); err != nil {
+	req := fdRequest(OpPoolFD)
+	if _, err := uc.Write(req[:]); err != nil {
 		return nil, nil, g, err
 	}
-	var hdr [5]byte // frame length + status
-	if _, err := io.ReadFull(uc, hdr[:]); err != nil {
+	if err := readFDRespHeader(uc, "pool-fd"); err != nil {
 		return nil, nil, g, err
-	}
-	n := getU32(hdr[0:4])
-	if hdr[4] != StatusOK || n != 2 {
-		if err := statusErr(hdr[4]); err != nil {
-			return nil, nil, g, err
-		}
-		return nil, nil, g, errors.New("wire: malformed pool-fd response")
 	}
 	var nfb [1]byte
 	if _, err := io.ReadFull(uc, nfb[:]); err != nil {

@@ -22,8 +22,8 @@ go test -race -count=1 ./internal/sponge/... ./internal/spill/...
 
 echo "== allocation-regression guards =="
 # The hot-path guards must hold: O(1) pool alloc/free and steady-state
-# File.Write and windowed File.Read at zero allocations, plus the >=30%
-# macro allocs/op cut. The obs guards keep counter/gauge/histogram ops
+# File.Write and windowed File.Read at zero allocations, plus the
+# absolute macro allocs/op ceiling on one small Median run. The obs guards keep counter/gauge/histogram ops
 # and trace-ring appends allocation-free so instrumentation stays off
 # the spill path's alloc budget. The mapreduce guards pin the map-side
 # combiner scratch and the node-combine publish path at zero steady-
@@ -59,6 +59,12 @@ echo "== node-combine shape + determinism smoke =="
 # task-combined run's.
 go test -count=1 -run 'TestNodeCombineCutsShuffleAndPreservesAnswer|TestNodeCombineDeterministicOutput' \
 	./internal/mapreduce
+
+echo "== benchmark module: vet + short self-tests =="
+# perfbench is a module of its own (it builds against this repository
+# through a replace directive), so ./... above never compiles it; an API
+# it uses could otherwise vanish without any check failing.
+(cd perfbench && go vet ./... && go test -short ./...)
 
 echo "== scenario matrix smoke (quick cases) =="
 # The two quick seed scenarios — a digest-verified spill round trip and
