@@ -77,12 +77,12 @@ type CombineCell struct {
 	// MapSpillReal is the map tasks' spill traffic (real bytes).
 	MapSpillReal int64 `json:"mapSpillRealBytes"`
 	// Node-combine stage accounting (zero outside the node modes).
-	NCPublished   int64 `json:"ncPublished"`
-	NCBypassed    int64 `json:"ncBypassed"`
-	NCSavedBytes  int64 `json:"ncSavedBytes"`
-	NCOverflows   int64 `json:"ncOverflows"`
-	NCSpillReal   int64 `json:"ncSpillRealBytes"`
-	NCSpillChunks int64 `json:"ncSpillChunks"`
+	NCPublished   int64   `json:"ncPublished"`
+	NCBypassed    int64   `json:"ncBypassed"`
+	NCSavedBytes  int64   `json:"ncSavedBytes"`
+	NCOverflows   int64   `json:"ncOverflows"`
+	NCSpillReal   int64   `json:"ncSpillRealBytes"`
+	NCSpillChunks int64   `json:"ncSpillChunks"`
 	WallMs        float64 `json:"wallMs"`
 }
 

@@ -160,6 +160,12 @@ func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
 	scfg.Remote = dfs.NewSpillStore(fs)
 	scfg.Metrics = mc.Metrics
 	svc := sponge.Start(c, scfg)
+	// The pools' memory-file slabs are released by nothing else: without
+	// this, every RunMacro in a process keeps its touched pages resident.
+	defer closePools(svc)
+	if macroStarted != nil {
+		macroStarted(svc)
+	}
 
 	factory := spill.DiskFactory()
 	if mc.Sponge {
@@ -227,6 +233,16 @@ func RunMacro(kind JobKind, mc MacroConfig) MacroResult {
 		}
 	}
 	return res
+}
+
+// macroStarted, when set by a test, sees each RunMacro's sponge service.
+var macroStarted func(*sponge.Service)
+
+// closePools unmaps every sponge server's pool once a run is over.
+func closePools(svc *sponge.Service) {
+	for _, srv := range svc.Servers {
+		srv.Pool().Close()
+	}
 }
 
 // medianJob builds the paper's MapReduce median job: every number routes

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spongefiles/internal/media"
+	"spongefiles/internal/sponge"
 )
 
 // macroAllocCeiling caps allocations per Median job run at the guard's
@@ -48,3 +49,25 @@ func benchMacro(b *testing.B, kind JobKind) {
 func BenchmarkMacroMedian(b *testing.B)        { benchMacro(b, Median) }
 func BenchmarkMacroAnchortext(b *testing.B)    { benchMacro(b, Anchortext) }
 func BenchmarkMacroSpamQuantiles(b *testing.B) { benchMacro(b, SpamQuantiles) }
+
+// TestRunMacroClosesSpongePools checks that a run unmaps its sponge
+// pools on return: benchtab and the bench tests call RunMacro many times
+// in one process, and an open pool keeps its touched pages resident.
+func TestRunMacroClosesSpongePools(t *testing.T) {
+	var svcs []*sponge.Service
+	macroStarted = func(svc *sponge.Service) { svcs = append(svcs, svc) }
+	defer func() { macroStarted = nil }()
+	mc := MacroConfig{NodeMemory: 4 * media.GB, Sponge: true, SizeFactor: 0.02, Workers: 4}
+	RunMacro(Median, mc)
+	RunMacro(SpamQuantiles, mc)
+	if len(svcs) != 2 {
+		t.Fatalf("saw %d services, want 2", len(svcs))
+	}
+	for i, svc := range svcs {
+		for n, srv := range svc.Servers {
+			if !srv.Pool().Closed() {
+				t.Errorf("run %d: node %d's pool still open after RunMacro returned", i, n)
+			}
+		}
+	}
+}

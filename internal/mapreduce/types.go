@@ -27,7 +27,10 @@ type MapFunc func(ctx *TaskContext, key, value []byte, emit Emit)
 // output records. Values arrive in the merge's key-sorted order.
 type ReduceFunc func(ctx *TaskContext, key []byte, values *ValueIter, emit Emit)
 
-// Emit receives an output record.
+// Emit receives an output record. It must not modify key or value, and
+// must copy whatever it keeps past its return: callers reuse their
+// buffers (record generators emit one buffer per split, rewritten for
+// every record).
 type Emit func(key, value []byte)
 
 // recHeader is the serialized record framing: two 32-bit lengths.

@@ -252,7 +252,9 @@ func (b *Bag) Iterate(p *simtime.Proc) Iterator {
 
 // consolidate merges sorted runs, bagMergeFactor at a time, until at
 // most bagMergeFactor remain. Each original byte is rewritten once.
+// Tuples are re-encoded into one reused buffer: File.Write copies.
 func (b *Bag) consolidate(p *simtime.Proc) {
+	var data []byte
 	for len(b.runs) > bagMergeFactor {
 		batch := b.runs[:bagMergeFactor]
 		streams := make([]*runIter, len(batch))
@@ -267,7 +269,7 @@ func (b *Bag) consolidate(p *simtime.Proc) {
 			if !ok {
 				break
 			}
-			data := AppendTuple(nil, t)
+			data = AppendTuple(data[:0], t)
 			var hdr [4]byte
 			putLen(hdr[:], len(data))
 			if err := merged.Write(p, hdr[:]); err != nil {

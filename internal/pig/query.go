@@ -1,6 +1,8 @@
 package pig
 
 import (
+	"unsafe"
+
 	"spongefiles/internal/mapreduce"
 	"spongefiles/internal/simtime"
 	"spongefiles/internal/spill"
@@ -113,11 +115,14 @@ func (q *GroupQuery) Compile(heapVirtual int64, factory spill.Factory) mapreduce
 			if q.Filter != nil && !q.Filter(t) {
 				return
 			}
-			if q.Project != nil {
-				t = q.Project(t)
+			if q.Project == nil {
+				// DecodeTuple accepts only canonical encodings, so v
+				// already is AppendTuple(nil, t).
+				emit(keyBytes(q.GroupKey(t)), v)
+				return
 			}
-			key := q.GroupKey(t)
-			emit([]byte(key), AppendTuple(nil, t))
+			t = q.Project(t)
+			emit(keyBytes(q.GroupKey(t)), AppendTuple(nil, t))
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
 			budget := ctx.Node.RealOf(int64(float64(heapVirtual) * bagFrac))
@@ -147,6 +152,11 @@ func (q *GroupQuery) Compile(heapVirtual int64, factory spill.Factory) mapreduce
 	}
 	return conf
 }
+
+// keyBytes views a group key as bytes without copying it. Emit never
+// writes into its arguments and a string's bytes never change, so the
+// view is safe to emit even where the receiver retains it.
+func keyBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // compileAlgebraic lowers an algebraic query: the map emits Init
 // partials, the fold runs as the combiner (task scope, node scope via
@@ -187,8 +197,7 @@ func (q *GroupQuery) compileAlgebraic(factory spill.Factory) mapreduce.JobConf {
 			if q.Project != nil {
 				t = q.Project(t)
 			}
-			key := q.GroupKey(t)
-			emit([]byte(key), AppendTuple(nil, alg.Init(t)))
+			emit(keyBytes(q.GroupKey(t)), AppendTuple(nil, alg.Init(t)))
 		},
 		Combine: func(ctx *mapreduce.TaskContext, key []byte, vals *mapreduce.ValueIter, emit mapreduce.Emit) {
 			if acc := fold(ctx, vals); acc != nil {

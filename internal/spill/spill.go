@@ -69,21 +69,46 @@ func (t *DiskTarget) Stats() Stats { return t.stats }
 // Close implements Target; the disk target holds no task resources.
 func (t *DiskTarget) Close() {}
 
+// diskFile holds its bytes as a list of blocks. Each new block is sized
+// from the file's size so far, between diskBlockMin and diskBlockMax, so
+// the file grows geometrically like an append-grown slice but never
+// re-copies what it already holds, and its slack is at most one block.
 type diskFile struct {
 	t      *DiskTarget
 	stream media.StreamID
-	data   []byte
-	pos    int
-	closed bool
+	blocks [][]byte
+	size   int
+	// Read cursor: block index and offset within that block.
+	blk, off int
+	closed   bool
 }
+
+const (
+	diskBlockMin = 4 << 10
+	diskBlockMax = 1 << 20
+)
 
 func (f *diskFile) Write(p *simtime.Proc, data []byte) error {
 	if f.closed {
 		panic("spill: write after close")
 	}
 	f.t.node.WriteFile(p, f.stream, len(data))
-	f.data = append(f.data, data...)
+	f.size += len(data)
 	f.t.stats.BytesReal += int64(len(data))
+	for len(data) > 0 {
+		last := len(f.blocks) - 1
+		if last < 0 || len(f.blocks[last]) == cap(f.blocks[last]) {
+			// Size from what the file holds, or from the rest of this
+			// write if larger, so one-shot segments skip small blocks.
+			sz := min(max(f.size-len(data), len(data), diskBlockMin), diskBlockMax)
+			f.blocks = append(f.blocks, make([]byte, 0, sz))
+			last++
+		}
+		b := f.blocks[last]
+		n := min(len(data), cap(b)-len(b))
+		f.blocks[last] = append(b, data[:n]...)
+		data = data[n:]
+	}
 	return nil
 }
 
@@ -96,22 +121,30 @@ func (f *diskFile) Read(p *simtime.Proc, buf []byte) (int, error) {
 	if !f.closed {
 		panic("spill: read before close")
 	}
-	n := copy(buf, f.data[f.pos:])
+	n := 0
+	for n < len(buf) && f.blk < len(f.blocks) {
+		c := copy(buf[n:], f.blocks[f.blk][f.off:])
+		n += c
+		f.off += c
+		if f.off == len(f.blocks[f.blk]) {
+			f.blk, f.off = f.blk+1, 0
+		}
+	}
 	if n > 0 {
 		f.t.node.ReadFile(p, f.stream, n)
-		f.pos += n
 	}
 	return n, nil
 }
 
-func (f *diskFile) Rewind() { f.pos = 0 }
+func (f *diskFile) Rewind() { f.blk, f.off = 0, 0 }
 
 func (f *diskFile) Delete(p *simtime.Proc) {
 	f.t.node.Disk.Delete(f.stream)
-	f.data = nil
+	f.blocks = nil
+	f.size = 0
 }
 
-func (f *diskFile) Size() int64 { return int64(len(f.data)) }
+func (f *diskFile) Size() int64 { return int64(f.size) }
 
 // --- Sponge target -------------------------------------------------------
 

@@ -186,3 +186,102 @@ func TestPropertyTargetsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDiskFileBlocksRoundTrip writes a bag-spill-like mix — 4-byte
+// headers, records, and one-shot multi-MB segments — so the file spans
+// many blocks, then reads it back through odd-sized buffers, rewinding
+// mid-stream. Every read must return min(len(buf), bytes left), exactly
+// what one contiguous slice gave, so the disk charges are unchanged.
+// The proc only records what it saw; the test goroutine checks it.
+func TestDiskFileBlocksRoundTrip(t *testing.T) {
+	type read struct{ asked, got, left int }
+	var (
+		want   []byte
+		sizes  [][2]int64 // Size() after each write, and the bytes written
+		err    error
+		blocks int
+		passes [3][]byte // a partial pass, then two full ones
+		reads  [3][]read
+		after  int64 // Size() after Delete
+	)
+	sim, c, _ := rig(0)
+	sim.Spawn("t", func(p *simtime.Proc) {
+		f := NewDiskTarget(c.Nodes[0]).Create(p, "blocks")
+		write := func(n int) {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(len(want) + i*31)
+			}
+			if werr := f.Write(p, data); werr != nil {
+				err = werr
+			}
+			want = append(want, data...)
+			sizes = append(sizes, [2]int64{f.Size(), int64(len(want))})
+		}
+		for i := 0; i < 3000; i++ {
+			write(4)
+			write(300 + i%97)
+		}
+		write(3<<20 + 5)
+		for i := 0; i < 50; i++ {
+			write(4)
+			write(1000)
+		}
+		write(2 << 20)
+		if cerr := f.Close(p); cerr != nil {
+			err = cerr
+		}
+		blocks = len(f.(*diskFile).blocks)
+		odd := []int{1, 7, 4093, 65537, 1<<20 + 3, 3}
+		for pass := range passes {
+			limit := len(want) + 10
+			if pass == 0 {
+				limit = 2<<20 + 11
+			}
+			for i := 0; len(passes[pass]) < limit; i++ {
+				buf := make([]byte, odd[i%len(odd)])
+				n, _ := f.Read(p, buf)
+				reads[pass] = append(reads[pass], read{len(buf), n, len(want) - len(passes[pass])})
+				if n == 0 {
+					break
+				}
+				passes[pass] = append(passes[pass], buf[:n]...)
+			}
+			f.Rewind()
+		}
+		f.Delete(p)
+		after = f.Size()
+	})
+	sim.MustRun()
+
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sz := range sizes {
+		if sz[0] != sz[1] {
+			t.Fatalf("size %d after writing %d bytes", sz[0], sz[1])
+		}
+	}
+	if blocks < 8 {
+		t.Fatalf("only %d blocks; the test must cross block boundaries", blocks)
+	}
+	for pass := range passes {
+		for _, r := range reads[pass] {
+			if r.got != min(r.asked, r.left) {
+				t.Fatalf("pass %d: read of %d with %d bytes left returned %d", pass, r.asked, r.left, r.got)
+			}
+		}
+		full := want
+		if pass == 0 {
+			full = want[:len(passes[0])]
+		} else if reads[pass][len(reads[pass])-1].got != 0 {
+			t.Fatalf("pass %d: no zero-byte read at the end", pass)
+		}
+		if !bytes.Equal(passes[pass], full) {
+			t.Fatalf("pass %d corrupt", pass)
+		}
+	}
+	if after != 0 {
+		t.Fatalf("size %d after delete", after)
+	}
+}

@@ -1,9 +1,10 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"spongefiles/internal/mapreduce"
 	"spongefiles/internal/media"
@@ -126,28 +127,78 @@ type Page struct {
 	Terms    []string
 }
 
-// page generates the idx-th record deterministically.
-func (w *WebCorpus) page(rng *rand.Rand, idx int64) Page {
-	d := pickCum(w.domainCum, rng.Float64())
-	l := pickCum(w.langCum, rng.Float64())
-	terms := make([]string, w.TermsPerPage)
+// draw takes one record's random draws in the corpus's fixed order —
+// domain, language, each term, spam score — filling terms in place.
+func (w *WebCorpus) draw(rng *rand.Rand, terms []int) (domain, lang int, spam float64) {
+	domain = pickCum(w.domainCum, rng.Float64())
+	lang = pickCum(w.langCum, rng.Float64())
 	for j := range terms {
 		// Zipfian term choice via an exponential transform.
 		t := int(rng.ExpFloat64() * float64(w.VocabSize) / 12)
 		if t >= w.VocabSize {
 			t = w.VocabSize - 1
 		}
-		terms[j] = fmt.Sprintf("term%04d", t)
+		terms[j] = t
 	}
 	// Spam score correlates weakly with domain rank.
-	spam := rng.Float64()*0.8 + float64(d%5)*0.04
+	spam = rng.Float64()*0.8 + float64(domain%5)*0.04
+	return domain, lang, spam
+}
+
+// page generates the idx-th record deterministically.
+func (w *WebCorpus) page(rng *rand.Rand, idx int64) Page {
+	ids := make([]int, w.TermsPerPage)
+	d, l, spam := w.draw(rng, ids)
+	terms := make([]string, len(ids))
+	for j, t := range ids {
+		terms[j] = string(appendTerm(nil, t))
+	}
 	return Page{
-		URL:      fmt.Sprintf("http://www.domain%03d.com/page/%d", d, idx),
-		Domain:   fmt.Sprintf("domain%03d.com", d),
+		URL:      string(appendURL(nil, d, idx)),
+		Domain:   string(appendDomain(nil, d)),
 		Language: w.Languages[l],
 		Spam:     spam,
 		Terms:    terms,
 	}
+}
+
+// appendDomain appends "domain%03d.com".
+func appendDomain(dst []byte, d int) []byte {
+	return append(appendPadded(append(dst, "domain"...), int64(d), 3), ".com"...)
+}
+
+// appendURL appends "http://www.domain%03d.com/page/%d".
+func appendURL(dst []byte, d int, idx int64) []byte {
+	dst = appendDomain(append(dst, "http://www."...), d)
+	return strconv.AppendInt(append(dst, "/page/"...), idx, 10)
+}
+
+// appendTerm appends "term%04d".
+func appendTerm(dst []byte, t int) []byte {
+	return appendPadded(append(dst, "term"...), int64(t), 4)
+}
+
+// appendPadded appends v in decimal, zero-padded to width as %0<width>d
+// formats it (a minus sign counts toward the width).
+func appendPadded(dst []byte, v int64, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		width--
+		u = -u
+	}
+	var digits [20]byte
+	n := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(n); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, n...)
+}
+
+// padLen is the crawl-metadata padding that brings a record to its real
+// size, given the serialized size of its other five fields.
+func (w *WebCorpus) padLen(fields int) int {
+	return max(w.RecordReal()-(fields+20), 0)
 }
 
 // Tuple converts a page to the Pig record schema:
@@ -160,13 +211,54 @@ func (w *WebCorpus) Tuple(pg Page) pig.Tuple {
 	t := pig.Tuple{pg.URL, pg.Domain, pg.Language, pg.Spam, terms}
 	// Pad the serialized record to the target real size with a crawl
 	// metadata blob, so byte accounting matches the corpus geometry.
-	base := len(pig.AppendTuple(nil, t)) + 20
-	pad := w.RecordReal() - base
-	if pad < 0 {
-		pad = 0
+	pad := w.padLen(len(pig.AppendTuple(nil, t)))
+	return append(t, string(make([]byte, pad)))
+}
+
+// recordEncoder renders records straight into their serialized form,
+// byte for byte pig.AppendTuple(nil, w.Tuple(w.page(rng, idx))), without
+// building strings or tuples. One encoder serves one split; its buffers
+// are reused record to record, which is safe because emit copies.
+type recordEncoder struct {
+	w     *WebCorpus
+	terms []int
+	field []byte
+	rec   []byte
+}
+
+func (w *WebCorpus) newRecordEncoder() *recordEncoder {
+	return &recordEncoder{w: w, terms: make([]int, w.TermsPerPage)}
+}
+
+// encode returns the idx-th record, valid until the next call.
+func (e *recordEncoder) encode(rng *rand.Rand, idx int64) []byte {
+	w := e.w
+	d, l, spam := w.draw(rng, e.terms)
+	b := pig.AppendTupleHeader(e.rec[:0], 6)
+	b = e.appendString(b, appendURL(e.field[:0], d, idx))
+	b = e.appendString(b, appendDomain(e.field[:0], d))
+	b = append(pig.AppendStringHeader(b, len(w.Languages[l])), w.Languages[l]...)
+	b = pig.AppendFloat(b, spam)
+	b = pig.AppendTupleHeader(b, len(e.terms))
+	for _, t := range e.terms {
+		b = e.appendString(b, appendTerm(e.field[:0], t))
 	}
-	t = append(t, string(make([]byte, pad)))
-	return t
+	// The five fields so far encode to the same length as Tuple's
+	// five-field tuple: counts 5 and 6 are both one varint byte.
+	pad := w.padLen(len(b))
+	b = pig.AppendStringHeader(b, pad)
+	n := len(b)
+	b = slices.Grow(b, pad)[:n+pad]
+	clear(b[n:])
+	e.rec = b
+	return b
+}
+
+// appendString appends field as a string field, keeping field's backing
+// for the next one.
+func (e *recordEncoder) appendString(dst, field []byte) []byte {
+	e.field = field
+	return append(pig.AppendStringHeader(dst, len(field)), field...)
 }
 
 // Input builds the MapReduce input for the corpus: the DFS file must be
@@ -185,9 +277,9 @@ func (w *WebCorpus) Input(file string, splits int) mapreduce.Input {
 					hi = total
 				}
 				rng := rand.New(rand.NewSource(w.Seed + int64(split)*7919))
+				enc := w.newRecordEncoder()
 				for i := lo; i < hi; i++ {
-					pg := w.page(rng, i)
-					emit(nil, pig.AppendTuple(nil, w.Tuple(pg)))
+					emit(nil, enc.encode(rng, i))
 				}
 			}
 		},

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -184,5 +186,134 @@ func TestJobPopulationDeterministic(t *testing.T) {
 		if len(a[i].TaskInputs) != len(b[i].TaskInputs) || a[i].TaskInputs[0] != b[i].TaskInputs[0] {
 			t.Fatal("population not deterministic")
 		}
+	}
+}
+
+// fmtPage is the record generator as first written, with fmt.Sprintf:
+// the reference the direct encoder is held to.
+func fmtPage(w *WebCorpus, rng *rand.Rand, idx int64) Page {
+	d := pickCum(w.domainCum, rng.Float64())
+	l := pickCum(w.langCum, rng.Float64())
+	terms := make([]string, w.TermsPerPage)
+	for j := range terms {
+		t := int(rng.ExpFloat64() * float64(w.VocabSize) / 12)
+		if t >= w.VocabSize {
+			t = w.VocabSize - 1
+		}
+		terms[j] = fmt.Sprintf("term%04d", t)
+	}
+	spam := rng.Float64()*0.8 + float64(d%5)*0.04
+	return Page{
+		URL:      fmt.Sprintf("http://www.domain%03d.com/page/%d", d, idx),
+		Domain:   fmt.Sprintf("domain%03d.com", d),
+		Language: w.Languages[l],
+		Spam:     spam,
+		Terms:    terms,
+	}
+}
+
+// fiveFields is a page's record schema without the padding field.
+func fiveFields(pg Page) pig.Tuple {
+	terms := make(pig.Tuple, len(pg.Terms))
+	for i, term := range pg.Terms {
+		terms[i] = term
+	}
+	return pig.Tuple{pg.URL, pg.Domain, pg.Language, pg.Spam, terms}
+}
+
+// fmtRecord is a record as first generated: formatted strings, a
+// pig.Tuple, and padding sized from a throwaway encoding.
+func fmtRecord(w *WebCorpus, rng *rand.Rand, idx int64) []byte {
+	t := fiveFields(fmtPage(w, rng, idx))
+	pad := w.RecordReal() - (len(pig.AppendTuple(nil, t)) + 20)
+	if pad < 0 {
+		pad = 0
+	}
+	return pig.AppendTuple(nil, append(t, string(make([]byte, pad))))
+}
+
+func TestRecordEncoderMatchesTupleEncoding(t *testing.T) {
+	small := DefaultWebCorpus(64)
+	small.TotalVirtual = 300 * small.RecordVirtual
+	odd := DefaultWebCorpus(64)
+	odd.TotalVirtual = 300 * odd.RecordVirtual
+	odd.VocabSize, odd.Domains, odd.TermsPerPage = 20_000, 1500, 3
+	odd.init()
+	// Record 0's padding lands exactly at zero; records with longer
+	// URLs or terms would go below it and are clamped.
+	atZero := DefaultWebCorpus(64)
+	atZero.TotalVirtual = 300 * atZero.RecordVirtual
+	rng := rand.New(rand.NewSource(atZero.Seed))
+	pg := fmtPage(atZero, rng, 0)
+	five := pig.AppendTuple(nil, fiveFields(pg))
+	atZero.RecordVirtual = int64(len(five)+20) * atZero.Scale
+	atZero.TotalVirtual = 300 * atZero.RecordVirtual
+	tiny := DefaultWebCorpus(64)
+	tiny.RecordVirtual = 64
+	tiny.TotalVirtual = 300 * tiny.RecordVirtual
+
+	for name, w := range map[string]*WebCorpus{"default": small, "odd-shape": odd, "pad-at-zero": atZero, "pad-below-zero": tiny} {
+		for _, seed := range []int64{1, 7, 42} {
+			w.Seed = seed
+			for _, splits := range []int{1, 3} {
+				total := w.Records()
+				for s := 0; s < splits; s++ {
+					per := total / int64(splits)
+					idx := int64(s) * per
+					rng := rand.New(rand.NewSource(w.Seed + int64(s)*7919))
+					pageRNG := rand.New(rand.NewSource(w.Seed + int64(s)*7919))
+					w.Input("/web", splits).MakeRecords(s)(func(k, v []byte) {
+						want := fmtRecord(w, rng, idx)
+						if !bytes.Equal(v, want) {
+							t.Fatalf("%s seed %d split %d/%d record %d: encoder bytes differ from the tuple encoding", name, seed, s, splits, idx)
+						}
+						if !bytes.Equal(pig.AppendTuple(nil, w.Tuple(w.page(pageRNG, idx))), want) {
+							t.Fatalf("%s seed %d split %d/%d record %d: Tuple(page) differs from the tuple encoding", name, seed, s, splits, idx)
+						}
+						idx++
+					})
+					if hi := int64(s+1) * per; s < splits-1 && idx != hi || s == splits-1 && idx != total {
+						t.Fatalf("%s split %d/%d ended at record %d", name, s, splits, idx)
+					}
+				}
+			}
+		}
+	}
+	if small.padLen(len(five)) <= 0 || atZero.padLen(len(five)) != 0 || tiny.padLen(len(five)) != 0 {
+		t.Fatal("padding cases do not cover positive, zero and clamped padding")
+	}
+}
+
+func TestPageMatchesFormattedPage(t *testing.T) {
+	w := DefaultWebCorpus(64)
+	w.Domains = 1500 // four-digit domain numbers overflow %03d's width
+	w.init()
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	for i := int64(0); i < 500; i++ {
+		got, want := w.page(a, i*1_000_003), fmtPage(w, b, i*1_000_003)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("record %d: page %+v, want %+v", i, got, want)
+		}
+	}
+	for _, c := range []struct {
+		v     int64
+		width int
+	}{{0, 3}, {7, 3}, {42, 4}, {12345, 4}, {-1, 4}, {-12345, 3}} {
+		if got, want := string(appendPadded(nil, c.v, c.width)), fmt.Sprintf("%0*d", c.width, c.v); got != want {
+			t.Errorf("appendPadded(%d, %d) = %q, want %q", c.v, c.width, got, want)
+		}
+	}
+}
+
+func TestWebCorpusGeneratorSteadyStateAllocationFree(t *testing.T) {
+	w := DefaultWebCorpus(64)
+	enc := w.newRecordEncoder()
+	rng := rand.New(rand.NewSource(1))
+	idx := int64(0)
+	for ; idx < 100; idx++ {
+		enc.encode(rng, idx)
+	}
+	if a := testing.AllocsPerRun(1000, func() { enc.encode(rng, idx); idx++ }); a != 0 {
+		t.Fatalf("corpus generator: %.2f allocs/record in steady state, want 0", a)
 	}
 }

@@ -17,8 +17,21 @@ GOOS=darwin go build ./...
 echo "== go vet ./... =="
 go vet ./...
 
-echo "== go test -race ./internal/sponge/... ./internal/spill/... =="
-go test -race -count=1 ./internal/sponge/... ./internal/spill/...
+echo "== gofmt -l (benchmark module included) =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:"
+	echo "$unformatted"
+	exit 1
+fi
+
+echo "== go test -race ./internal/sponge/... ./internal/spill/... ./internal/pig/... ./internal/workload/... =="
+# The Pig record path hands one reused buffer from the corpus generator
+# through emit and shares one backing across a decoded tuple's fields;
+# its byte-identity tests and allocation guards run under the detector
+# too.
+go test -race -count=1 ./internal/sponge/... ./internal/spill/... \
+	./internal/pig/... ./internal/workload/...
 
 echo "== allocation-regression guards =="
 # The hot-path guards must hold: O(1) pool alloc/free and steady-state
@@ -27,10 +40,19 @@ echo "== allocation-regression guards =="
 # and trace-ring appends allocation-free so instrumentation stays off
 # the spill path's alloc budget. The mapreduce guards pin the map-side
 # combiner scratch and the node-combine publish path at zero steady-
-# state allocations per record.
-go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard' \
+# state allocations per record. The Pig record-path guards hold the
+# corpus generator at zero allocations per record, the unprojected Pig
+# map at DecodeTuple's own allocations, and DecodeTuple on a corpus
+# record at its measured ceiling (one string copy, one slot backing,
+# one box per non-integer field).
+go test -count=1 -run 'AllocationFree|TestMacroAllocRegressionGuard|TestDecodeTupleAllocCeiling' \
 	./internal/sponge ./internal/simtime ./internal/bench ./internal/obs \
-	./internal/mapreduce
+	./internal/mapreduce ./internal/pig ./internal/workload
+
+echo "== fuzz: pig tuple decoder =="
+# A short run of the hostile-input target: the checked decoder must not
+# panic, and whatever it accepts must re-encode to exactly its input.
+go test -count=1 -run '^$' -fuzz '^FuzzDecodeTuple$' -fuzztime 10s ./internal/pig
 
 # Wire transport guard: steady-state ReadInto must stay 0 allocs/chunk
 # on all six serve paths — TCP and unix pool reads, sendfile spill
